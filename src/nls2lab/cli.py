@@ -31,12 +31,14 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, groundstate, observables, threshold
 from .criterion import (
+    BoundReport,
     energy_sign_bound,
     eigenvalue_bound,
     large_data_bound,
@@ -47,8 +49,6 @@ from .errors import NoNegativeEigenvalueError
 from .spectral import Field, Grid, make_grid, read_field, write_field
 from .symmetry import check_equivariance
 
-_GS_CACHE: dict = {}
-
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -58,11 +58,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:12]
 
 
+@lru_cache(maxsize=4)
 def _ground_state_cached(grid: Grid, omega: float):
-    key = (grid.dim, grid.n, grid.half_width, omega)
-    if key not in _GS_CACHE:
-        _GS_CACHE[key] = groundstate.solve_ground_state(grid, omega)
-    return _GS_CACHE[key]
+    return groundstate.solve_ground_state(grid, omega)
 
 
 def build_data(desc: dict, grid: Grid, role: str = "u") -> Field:
@@ -77,12 +75,11 @@ def build_data(desc: dict, grid: Grid, role: str = "u") -> Field:
         center = np.asarray(desc.get("center", [0.0] * grid.dim), dtype=float)
         phase = float(desc.get("phase", 0.0))
         boost = np.asarray(desc.get("boost", [0.0] * grid.dim), dtype=float)
-        axes = np.meshgrid(*([grid.x] * grid.dim), indexing="ij")
-        r2 = sum((a - c) ** 2 for a, c in zip(axes, center))
+        r2 = sum((a - c) ** 2 for a, c in zip(grid.axes, center))
         vals = amp * np.exp(1j * phase) * np.exp(-r2 / (2.0 * width ** 2))
         if np.any(boost != 0.0):
             mult = 2.0 if role == "v" else 1.0
-            xdot = sum(a * c for a, c in zip(axes, boost))
+            xdot = sum(a * c for a, c in zip(grid.axes, boost))
             vals = vals * np.exp(1j * mult * xdot)
         return Field(grid, vals)
     if family == "ground_state_component":
@@ -98,28 +95,20 @@ def build_data(desc: dict, grid: Grid, role: str = "u") -> Field:
     raise ValueError(f"unknown data family {family!r}")
 
 
+# solver block keys and their types; absent keys take SolverConfig's defaults
+_SOLVER_KEYS = {
+    "dt": float,
+    "t_end": float,
+    "dealias": bool,
+    "record_every": int,
+    "blowup_linf_factor": float,
+    "blowup_hs_factor": float,
+}
+
+
 def _solver_config(block: dict) -> dynamics.SolverConfig:
     return dynamics.SolverConfig(
-        dt=float(block["dt"]),
-        t_end=float(block["t_end"]),
-        dealias=bool(block.get("dealias", True)),
-        record_every=int(block.get("record_every", 10)),
-    )
-
-
-def _resolve_blowup(cfg, state, block: dict):
-    from dataclasses import replace
-
-    from .spectral import lp_norm, sobolev_seminorm
-
-    linf_factor = float(block.get("blowup_linf_factor", 1e3))
-    hs_factor = float(block.get("blowup_hs_factor", 1e3))
-    linf0 = max(lp_norm(state.u, np.inf), lp_norm(state.v, np.inf))
-    hs0 = sobolev_seminorm(state.u, 1.0) + sobolev_seminorm(state.v, 1.0)
-    return replace(
-        cfg,
-        blowup_linf=linf_factor * max(linf0, 1e-12),
-        blowup_hs=hs_factor * max(hs0, 1e-12),
+        **{k: cast(block[k]) for k, cast in _SOLVER_KEYS.items() if k in block}
     )
 
 
@@ -133,7 +122,6 @@ def _task_simulate(config, grid, run_dir):
     v0 = build_data(config["data"]["v0"], grid, "v")
     state = dynamics.State(u0, v0, 0.0)
     cfg = _solver_config(config["solver"])
-    cfg = _resolve_blowup(cfg, state, config["solver"])
     final, series, outcome = dynamics.evolve(state, cfg)
     series.to_csv(run_dir / "series.csv")
     series.to_json(run_dir / "series.json")
@@ -185,7 +173,6 @@ def _task_eigen(config, grid, run_dir):
         "theta": res.theta,
         "residual": res.residual,
         "iterations": res.iterations,
-        "converged": res.converged,
     }
 
 
@@ -201,9 +188,7 @@ def _task_bounds(config, grid, run_dir):
         eig_witness = rep.witness_fields
         reports.append(rep)
     except NoNegativeEigenvalueError as exc:
-        reports.append(
-            {"kind": "Eigenvalue", "bound_value": None, "witness": {"reason": str(exc)}}
-        )
+        reports.append(BoundReport("Eigenvalue", None, {"reason": str(exc)}))
 
     if "u0" in config.get("data", {}):
         u0 = build_data(config["data"]["u0"], grid, "u")
@@ -217,11 +202,7 @@ def _task_bounds(config, grid, run_dir):
     c_list = task.get("c_list", [1.0, 2.0, 4.0, 8.0, 16.0])
     reports.extend(large_data_bound(v0, [float(c) for c in c_list]))
 
-    return {
-        "reports": [
-            r.to_dict() if hasattr(r, "to_dict") else r for r in reports
-        ]
-    }
+    return {"reports": [r.to_dict() for r in reports]}
 
 
 def _task_threshold(config, grid, run_dir):
@@ -229,13 +210,7 @@ def _task_threshold(config, grid, run_dir):
     v0 = build_data(config["data"]["v0"], grid, "v")
     shape = build_data(task["shape"], grid, "u")
     cfg = _solver_config(config["solver"])
-    classifier = threshold.ClassifierConfig(
-        **{
-            k: float(v)
-            for k, v in task.get("classifier", {}).items()
-            if k in ("r_scatter", "r_grow", "plateau_floor")
-        }
-    )
+    classifier = threshold.ClassifierConfig(**task.get("classifier", {}))
     est = threshold.bisect_threshold(
         v0,
         shape,
@@ -257,8 +232,6 @@ def _task_symmetry(config, grid, run_dir):
     u0 = build_data(config["data"]["u0"], grid, "u")
     v0 = build_data(config["data"]["v0"], grid, "v")
     cfg = _solver_config(config["solver"])
-    state = dynamics.State(u0.copy(), v0.copy(), 0.0)
-    cfg = _resolve_blowup(cfg, state, config["solver"])
     xi = np.asarray(task["xi"], dtype=float)
     disc = check_equivariance((u0, v0), xi, float(task["t_final"]), cfg)
     return {"xi": list(map(float, xi)), "t_final": task["t_final"], "discrepancy": disc}
@@ -286,7 +259,6 @@ def run(config: dict, out_dir) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
     gblock = config["grid"]
     grid = make_grid(int(gblock["dim"]), int(gblock["n"]), float(gblock["half_width"]))
-    np.random.seed(int(config.get("seed", 0)))
     result = _TASKS[name](config, grid, run_dir)
     _write_summary(run_dir, {"config_hash": h, "task": name, "result": result})
     return run_dir

@@ -20,7 +20,6 @@ class EigenResult:
     e_tilde: float
     phi: Field  # real eigenfunction, L^2-normalized
     theta: float
-    converged: bool
     residual: float
     iterations: int
 
@@ -74,13 +73,11 @@ def lowest_eigenpair(
         return out.ravel()
 
     npts = grid.npoints
-    Hop = LinearOperator((npts, npts), matvec=apply_h, dtype=float)
 
     # start below the bottom of the spectrum: H >= min(W)
     sigma = wmin - 0.1 * max(1.0, abs(wmin))
     x0 = np.unravel_index(np.argmin(W), grid.shape)
-    axes = np.meshgrid(*([grid.x] * grid.dim), indexing="ij")
-    r2 = sum((a - grid.x[i]) ** 2 for a, i in zip(axes, x0))
+    r2 = sum((a - grid.x[i]) ** 2 for a, i in zip(grid.axes, x0))
     phi = np.exp(-r2).ravel()
     phi /= _l2(phi, dvol)
 
@@ -125,7 +122,6 @@ def lowest_eigenpair(
         e_tilde=rho,
         phi=Field(grid, phi.reshape(grid.shape)),
         theta=theta,
-        converged=True,
         residual=resid,
         iterations=it,
     )

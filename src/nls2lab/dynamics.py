@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import NonFiniteFieldError
 from .spectral import (
@@ -24,6 +23,8 @@ from .spectral import (
     _read_values,
     _write_header,
     KIND_STATE,
+    fftn,
+    ifftn,
     lp_norm,
     sobolev_seminorm,
     weighted_lp_norm,
@@ -63,19 +64,20 @@ class State:
 
 @dataclass
 class SolverConfig:
+    """Time-stepping settings.  The blowup limits are relative: evolve stops
+    once the sup-norm or the H^1 size passes factor * (its initial value);
+    an infinite factor disables that check."""
+
     dt: float
     t_end: float
     dealias: bool = True
-    substep_integrator: str = "RK4"
     record_every: int = 10
-    blowup_linf: float = np.inf
-    blowup_hs: float = np.inf
+    blowup_linf_factor: float = 1e3
+    blowup_hs_factor: float = 1e3
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.substep_integrator != "RK4":
-            raise ValueError(f"unknown substep integrator {self.substep_integrator}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -93,18 +95,8 @@ class Outcome:
 @dataclass
 class DiagnosticSeries:
     """Time-indexed record of conserved quantities, norms, and running
-    space-time accumulators (trapezoid rule on the sampled sequence)."""
-
-    times: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    interaction: list = field(default_factory=list)
-    linf: list = field(default_factory=list)
-    s_norm_u_accum: list = field(default_factory=list)
-    s_norm_v_accum: list = field(default_factory=list)
-    w_norm_u_accum: list = field(default_factory=list)
-    w_norm_v_accum: list = field(default_factory=list)
-    _integrands: dict = field(default_factory=dict, repr=False)
+    space-time accumulators (trapezoid rule on the sampled sequence), kept
+    as one list per name in COLUMNS; ``series[name]`` reads a column."""
 
     COLUMNS = (
         "t",
@@ -118,89 +110,75 @@ class DiagnosticSeries:
         "w_accum_v",
     )
 
+    columns: dict = field(
+        default_factory=lambda: {c: [] for c in DiagnosticSeries.COLUMNS}
+    )
+    _integrands: dict = field(default_factory=dict, repr=False)
+
+    def __getitem__(self, name: str) -> list:
+        return self.columns[name]
+
     def append(self, state: State):
         from .observables import energy as energy_report
 
         rep = energy_report(state)
         t = state.t
-        su = lp_norm(state.u, S_SPACE_R) ** S_TIME_Q
-        sv = lp_norm(state.v, S_SPACE_R) ** S_TIME_Q
+        su = lp_norm(state.u, S_SPACE_R)
+        sv = lp_norm(state.v, S_SPACE_R)
         if t == 0.0:
-            wu = weighted_lp_norm(state.u, 0.5, W_SPEC_U.r) ** W_TIME_Q
-            wv = weighted_lp_norm(state.v, 0.5, W_SPEC_V.r) ** W_TIME_Q
+            wu = weighted_lp_norm(state.u, 0.5, W_SPEC_U.r)
+            wv = weighted_lp_norm(state.v, 0.5, W_SPEC_V.r)
         else:
-            wu = x_norm(state.u, t, W_SPEC_U) ** W_TIME_Q
-            wv = x_norm(state.v, t, W_SPEC_V) ** W_TIME_Q
-        cur = {"s_u": su, "s_v": sv, "w_u": wu, "w_v": wv}
+            wu = x_norm(state.u, t, W_SPEC_U)
+            wv = x_norm(state.v, t, W_SPEC_V)
+        cur = {
+            "s_accum_u": su ** S_TIME_Q,
+            "s_accum_v": sv ** S_TIME_Q,
+            "w_accum_u": wu ** W_TIME_Q,
+            "w_accum_v": wv ** W_TIME_Q,
+        }
 
-        def accum(prev_list, key):
-            if not self.times:
-                prev_list.append(0.0)
+        cols = self.columns
+        for key, value in cur.items():
+            acc = cols[key]
+            if not cols["t"]:
+                acc.append(0.0)
             else:
-                dt = t - self.times[-1]
-                prev_list.append(
-                    prev_list[-1] + 0.5 * (self._integrands[key] + cur[key]) * dt
-                )
-
-        accum(self.s_norm_u_accum, "s_u")
-        accum(self.s_norm_v_accum, "s_v")
-        accum(self.w_norm_u_accum, "w_u")
-        accum(self.w_norm_v_accum, "w_v")
+                dt = t - cols["t"][-1]
+                acc.append(acc[-1] + 0.5 * (self._integrands[key] + value) * dt)
         self._integrands = cur
 
-        self.times.append(t)
-        self.mass.append(rep.mass)
-        self.energy.append(rep.energy)
-        self.interaction.append(rep.interaction)
-        self.linf.append(
+        cols["t"].append(t)
+        cols["mass"].append(rep.mass)
+        cols["energy"].append(rep.energy)
+        cols["interaction"].append(rep.interaction)
+        cols["linf"].append(
             max(float(np.abs(state.u.values).max()), float(np.abs(state.v.values).max()))
         )
 
     def final_w_proxy(self, component: str) -> float:
-        accum = {"u": self.w_norm_u_accum, "v": self.w_norm_v_accum}[component]
+        accum = self.columns[f"w_accum_{component}"]
         return accum[-1] ** (1.0 / W_TIME_Q) if accum else 0.0
-
-    def final_s_proxy(self, component: str) -> float:
-        accum = {"u": self.s_norm_u_accum, "v": self.s_norm_v_accum}[component]
-        return accum[-1] ** (1.0 / S_TIME_Q) if accum else 0.0
-
-    def rows(self):
-        for i in range(len(self.times)):
-            yield (
-                self.times[i],
-                self.mass[i],
-                self.energy[i],
-                self.interaction[i],
-                self.linf[i],
-                self.s_norm_u_accum[i],
-                self.s_norm_v_accum[i],
-                self.w_norm_u_accum[i],
-                self.w_norm_v_accum[i],
-            )
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(self.COLUMNS)
-            for row in self.rows():
+            for row in zip(*(self.columns[c] for c in self.COLUMNS)):
                 w.writerow([repr(float(x)) for x in row])
-
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times,
-            "mass": self.mass,
-            "energy": self.energy,
-            "interaction": self.interaction,
-            "linf": self.linf,
-            "s_norm_u_accum": self.s_norm_u_accum,
-            "s_norm_v_accum": self.s_norm_v_accum,
-            "w_norm_u_accum": self.w_norm_u_accum,
-            "w_norm_v_accum": self.w_norm_v_accum,
-        }
 
     def to_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+            json.dump(self.columns, fh, sort_keys=True)
+
+
+def _phase(grid: Grid, a: float, dt: float) -> np.ndarray:
+    """The free-flow Fourier multiplier exp(-i a |k|^2 dt)."""
+    return np.exp(-1j * a * grid.k2 * dt)
+
+
+def _apply_multiplier(mult: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return ifftn(mult * fftn(values))
 
 
 def linear_step(f: Field, dt: float, a: float) -> Field:
@@ -209,9 +187,7 @@ def linear_step(f: Field, dt: float, a: float) -> Field:
     a = 1 for the u-component, 1/2 for the v-component; exactly unitary."""
     if a not in (1.0, 0.5):
         raise ValueError(f"dispersion coefficient must be 1 or 1/2, got {a}")
-    fhat = sfft.fftn(f.values, workers=-1)
-    fhat *= np.exp(-1j * a * f.grid.k2 * dt)
-    return Field(f.grid, sfft.ifftn(fhat, workers=-1))
+    return Field(f.grid, _apply_multiplier(_phase(f.grid, a, dt), f.values))
 
 
 def _nl_rhs(u: np.ndarray, v: np.ndarray):
@@ -247,8 +223,8 @@ class _StepKernel:
         self.grid = grid
         self.cfg = cfg
         half = cfg.dt / 2.0
-        self.phase_u = np.exp(-1j * 1.0 * grid.k2 * half)
-        self.phase_v = np.exp(-1j * 0.5 * grid.k2 * half)
+        self.phase_u = _phase(grid, 1.0, half)
+        self.phase_v = _phase(grid, 0.5, half)
         if cfg.dealias:
             mask = grid.dealias_mask
             self.post_u = self.phase_u * mask
@@ -258,11 +234,11 @@ class _StepKernel:
             self.post_v = self.phase_v
 
     def step(self, u: np.ndarray, v: np.ndarray):
-        u = sfft.ifftn(self.phase_u * sfft.fftn(u, workers=-1), workers=-1)
-        v = sfft.ifftn(self.phase_v * sfft.fftn(v, workers=-1), workers=-1)
+        u = _apply_multiplier(self.phase_u, u)
+        v = _apply_multiplier(self.phase_v, v)
         u, v = _rk4_nonlinear(u, v, self.cfg.dt)
-        u = sfft.ifftn(self.post_u * sfft.fftn(u, workers=-1), workers=-1)
-        v = sfft.ifftn(self.post_v * sfft.fftn(v, workers=-1), workers=-1)
+        u = _apply_multiplier(self.post_u, u)
+        v = _apply_multiplier(self.post_v, v)
         return u, v
 
 
@@ -276,19 +252,33 @@ def strang_step(state: State, cfg: SolverConfig) -> State:
     return State(Field(state.grid, u), Field(state.grid, v), state.t + cfg.dt)
 
 
+def blowup_limits(state: State, cfg: SolverConfig) -> tuple:
+    """Absolute (sup-norm, H^1) blowup thresholds of a run that starts at
+    `state`: the config's factors times the initial sizes, floored at 1e-12
+    so zero data still gets a finite limit."""
+    linf0 = max(lp_norm(state.u, np.inf), lp_norm(state.v, np.inf))
+    hs0 = sobolev_seminorm(state.u, 1.0) + sobolev_seminorm(state.v, 1.0)
+    return (
+        cfg.blowup_linf_factor * max(linf0, 1e-12),
+        cfg.blowup_hs_factor * max(hs0, 1e-12),
+    )
+
+
 def evolve(state: State, cfg: SolverConfig):
     """March the state to t_end, recording diagnostics every record_every
     steps.  Returns (final_state, DiagnosticSeries, Outcome); crossing a
-    blowup threshold is an early Completed-with-Blowup outcome, not an error.
+    blowup threshold (see blowup_limits) is an early Completed-with-Blowup
+    outcome, not an error.
     """
+    blowup_linf, blowup_hs = blowup_limits(state, cfg)
     series = DiagnosticSeries()
     series.append(state)
+    prev_linf = series["linf"][-1]
     nsteps = int(round((cfg.t_end - state.t) / cfg.dt))
     kern = _StepKernel(state.grid, cfg)
     u = state.u.values.copy()
     v = state.v.values.copy()
     t = state.t
-    prev_linf = series.linf[-1]
 
     for istep in range(1, nsteps + 1):
         un, vn = kern.step(u, v)
@@ -296,7 +286,7 @@ def evolve(state: State, cfg: SolverConfig):
         if not (np.all(np.isfinite(un)) and np.all(np.isfinite(vn))):
             # mid-collapse overflow: the previous step was already most of
             # the way to the threshold, so report blowup there
-            if prev_linf >= 0.5 * cfg.blowup_linf:
+            if prev_linf >= 0.5 * blowup_linf:
                 out = State(Field(state.grid, u), Field(state.grid, v), t)
                 series.append(out)
                 return out, series, Outcome("blowup", t)
@@ -306,13 +296,13 @@ def evolve(state: State, cfg: SolverConfig):
             )
         u, v, t = un, vn, tn
         cur_linf = max(float(np.abs(u).max()), float(np.abs(v).max()))
-        crossed = cur_linf > cfg.blowup_linf
+        crossed = cur_linf > blowup_linf
         record = istep % cfg.record_every == 0 or istep == nsteps or crossed
         if record:
             out = State(Field(state.grid, u), Field(state.grid, v), t)
-            if not crossed and np.isfinite(cfg.blowup_hs):
+            if not crossed and np.isfinite(blowup_hs):
                 hs = sobolev_seminorm(out.u, 1.0) + sobolev_seminorm(out.v, 1.0)
-                crossed = hs > cfg.blowup_hs
+                crossed = hs > blowup_hs
             series.append(out)
             if crossed:
                 return out, series, Outcome("blowup", t)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy import fft as sfft
@@ -38,9 +38,15 @@ def _is_fft_friendly(n: int) -> bool:
     return n in (1, 3)
 
 
-@dataclass
+def _open_mesh(coords: np.ndarray, dim: int) -> tuple:
+    """Sparse (open) ij-mesh of one axis vector: dim arrays that broadcast
+    to the full grid, so sums and products over them need no dense copies."""
+    return tuple(np.meshgrid(*([coords] * dim), indexing="ij", sparse=True))
+
+
+@dataclass(frozen=True)
 class Grid:
-    """Immutable periodic grid; share freely between threads."""
+    """Immutable, hashable periodic grid; share freely between threads."""
 
     dim: int
     n: int
@@ -73,10 +79,19 @@ class Grid:
         return 2.0 * np.pi * sfft.fftfreq(self.n, d=self.dx)
 
     @cached_property
+    def axes(self) -> tuple:
+        """Open mesh of the coordinates x, one broadcastable array per axis."""
+        return _open_mesh(self.x, self.dim)
+
+    @cached_property
+    def kaxes(self) -> tuple:
+        """Open mesh of the wavenumbers k, one broadcastable array per axis."""
+        return _open_mesh(self.k, self.dim)
+
+    @cached_property
     def r2(self) -> np.ndarray:
         """|x|^2 measured from the box center, full mesh."""
-        axes = np.meshgrid(*([self.x] * self.dim), indexing="ij")
-        return sum(a ** 2 for a in axes)
+        return sum(a ** 2 for a in self.axes)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -84,8 +99,7 @@ class Grid:
 
     @cached_property
     def k2(self) -> np.ndarray:
-        axes = np.meshgrid(*([self.k] * self.dim), indexing="ij")
-        return sum(a ** 2 for a in axes)
+        return sum(a ** 2 for a in self.kaxes)
 
     @cached_property
     def kmag(self) -> np.ndarray:
@@ -95,14 +109,8 @@ class Grid:
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep integer modes |j| <= n//3."""
         j = np.rint(sfft.fftfreq(self.n) * self.n).astype(int)
-        keep = np.abs(j) <= self.n // 3
-        mask1 = keep.astype(float)
-        out = np.ones(self.shape)
-        for ax in range(self.dim):
-            sl = [None] * self.dim
-            sl[ax] = slice(None)
-            out = out * mask1[tuple(sl)]
-        return out
+        keep = (np.abs(j) <= self.n // 3).astype(float)
+        return reduce(np.multiply, _open_mesh(keep, self.dim))
 
     @cached_property
     def center_index(self) -> tuple:
@@ -215,14 +223,14 @@ def _spectral_upsample(values: np.ndarray, p: int) -> np.ndarray:
     return np.real(sfft.ifftn(out, workers=_FFT_WORKERS)) * p ** dim
 
 
-def fh_half_norm(f: Field, oversample: int = 3) -> float:
+def fh_half_norm(f: Field) -> float:
     """|| |x|^(1/2) f ||_{L^2} with a cusp-corrected quadrature.
 
     The integrand |x| |f|^2 has a conical point at the box center which caps
     the plain rectangle rule at ~1e-3 relative accuracy on desk-scale grids.
     We subtract Gaussians matching the value and Laplacian of g = |f|^2 at
     the center (whose weighted integrals are known in closed form) and sum
-    the smooth remainder on a spectrally refined lattice.
+    the smooth remainder on a 3x spectrally refined lattice.
     """
     g = np.abs(f.values) ** 2
     grid = f.grid
@@ -241,18 +249,13 @@ def fh_half_norm(f: Field, oversample: int = 3) -> float:
     alpha = g0
     beta = g0 / sig ** 2 + lap0 / (2.0 * d)
 
-    p = max(1, int(oversample))
-    if p > 1:
-        gf = _spectral_upsample(g, p)
-        nf = grid.n * p
-        dxf = grid.dx / p
-        xf = -grid.half_width + dxf * np.arange(nf)
-        axes = np.meshgrid(*([xf] * d), indexing="ij")
-        r2f = sum(a ** 2 for a in axes)
-        rf = np.sqrt(r2f)
-        dvolf = dxf ** d
-    else:
-        gf, rf, r2f, dvolf = g, grid.r, grid.r2, grid.dvol
+    p = 3
+    gf = _spectral_upsample(g, p)
+    dxf = grid.dx / p
+    xf = -grid.half_width + dxf * np.arange(grid.n * p)
+    r2f = sum(a ** 2 for a in _open_mesh(xf, d))
+    rf = np.sqrt(r2f)
+    dvolf = dxf ** d
 
     env = np.exp(-r2f / sig ** 2)
     h = (alpha + beta * r2f) * env
@@ -311,7 +314,7 @@ def boundary_mass_fraction(f: Field) -> float:
     if total == 0.0:
         return 0.0
     grid = f.grid
-    edge = np.max(np.abs(np.meshgrid(*([grid.x] * grid.dim), indexing="ij")), axis=0)
+    edge = reduce(np.maximum, (np.abs(a) for a in grid.axes))
     near = edge >= 0.9 * grid.half_width
     return float(g[near].sum() / total)
 

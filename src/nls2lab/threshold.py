@@ -10,14 +10,14 @@ carries a ``heuristic`` marker for that reason.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import DiagnosticSeries, Outcome, SolverConfig, State, evolve
 from .errors import BracketInvalidError, NoNegativeEigenvalueError
 from .observables import energy as energy_report
-from .spectral import Field, fh_half_norm, lp_norm, sobolev_seminorm
+from .spectral import Field, fh_half_norm
 
 SCATTERS = "Scatters"
 NONSCATTER = "NonScatter"
@@ -145,11 +145,11 @@ def classify_run(
     if outcome.blew_up:
         ev = {"blowup": True, "t_blowup": outcome.t}
         return RunVerdict(NONSCATTER, NONSCATTER, NONSCATTER, ev)
-    t = series.times
-    vu_s, ev_su = _accumulator_verdict(t, series.s_norm_u_accum, cfg)
-    vu_w, ev_wu = _accumulator_verdict(t, series.w_norm_u_accum, cfg)
-    vv_s, ev_sv = _accumulator_verdict(t, series.s_norm_v_accum, cfg)
-    vv_w, ev_wv = _accumulator_verdict(t, series.w_norm_v_accum, cfg)
+    t = series["t"]
+    vu_s, ev_su = _accumulator_verdict(t, series["s_accum_u"], cfg)
+    vu_w, ev_wu = _accumulator_verdict(t, series["w_accum_u"], cfg)
+    vv_s, ev_sv = _accumulator_verdict(t, series["s_accum_v"], cfg)
+    vv_w, ev_wv = _accumulator_verdict(t, series["w_accum_v"], cfg)
     verdict_u = _combine([vu_s, vu_w])
     verdict_v = _combine([vv_s, vv_w])
     if verdict_u == SCATTERS and verdict_v == SCATTERS:
@@ -164,24 +164,11 @@ def classify_run(
         "w_u": ev_wu,
         "s_v": ev_sv,
         "w_v": ev_wv,
-        "final_linf": series.linf[-1],
+        "final_linf": series["linf"][-1],
         "final_w_proxy_u": series.final_w_proxy("u"),
         "final_w_proxy_v": series.final_w_proxy("v"),
     }
     return RunVerdict(verdict, verdict_u, verdict_v, evidence)
-
-
-def with_default_blowup(cfg: SolverConfig, state: State, factor: float = 1e3):
-    """Fill in absolute blowup thresholds at `factor` times the initial
-    sup-norm and Sobolev size when the config leaves them infinite."""
-    out = cfg
-    if not np.isfinite(cfg.blowup_linf):
-        linf0 = max(lp_norm(state.u, np.inf), lp_norm(state.v, np.inf))
-        out = replace(out, blowup_linf=factor * max(linf0, 1e-12))
-    if not np.isfinite(cfg.blowup_hs):
-        hs0 = sobolev_seminorm(state.u, 1.0) + sobolev_seminorm(state.v, 1.0)
-        out = replace(out, blowup_hs=factor * max(hs0, 1e-12))
-    return out
 
 
 def run_and_classify(
@@ -190,9 +177,7 @@ def run_and_classify(
     cfg: SolverConfig,
     classifier: ClassifierConfig | None = None,
 ):
-    state = State(u0.copy(), v0.copy(), 0.0)
-    cfg = with_default_blowup(cfg, state)
-    final, series, outcome = evolve(state, cfg)
+    final, series, outcome = evolve(State(u0.copy(), v0.copy(), 0.0), cfg)
     verdict = classify_run(series, outcome, classifier)
     return verdict, series, outcome
 
@@ -293,9 +278,7 @@ def scan_L_curve(
     def one_run(args):
         ell, shape = args
         u0 = Field(shape.grid, ell * shape.values)
-        state = State(u0, v0.copy(), 0.0)
-        run_cfg = with_default_blowup(cfg, state)
-        _, series, outcome = evolve(state, run_cfg)
+        _, series, outcome = evolve(State(u0, v0.copy(), 0.0), cfg)
         proxy = series.final_w_proxy("u") + series.final_w_proxy("v")
         return outcome, proxy
 

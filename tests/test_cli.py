@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nls2lab import cli
+from nls2lab.errors import BracketInvalidError
 from nls2lab.spectral import make_grid, read_field, write_field, zeros
 
 
@@ -22,6 +23,24 @@ def base_config(**overrides):
         "task": {"name": "simulate"},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def threshold_config(**task):
+    """Zero v0 and a Gaussian shape: the a_lo = 0 probe stays identically zero
+    and scatters, while the a_hi probe's accumulators still grow at t_end."""
+    cfg = base_config(
+        task={
+            "name": "threshold",
+            "shape": {"family": "gaussian", "width": 1.0},
+            "a_lo": 0.0,
+            "a_hi": 2.0,
+            "max_bisections": 0,
+            **task,
+        }
+    )
+    cfg["solver"]["record_every"] = 1
+    cfg["data"] = {"v0": {"family": "zero"}}
     return cfg
 
 
@@ -132,6 +151,56 @@ class TestRun:
         assert kinds[0] == "Eigenvalue"
         assert "EnergySign" in kinds
         assert kinds.count("LargeData") == 2
+
+    def test_bounds_task_without_negative_eigenvalue(self, tmp_path):
+        # on the periodic box the lowest eigenvalue sits near the mean of the
+        # potential, about -8e-12 here: above -tol at every angle
+        cfg = {
+            "grid": {"dim": 3, "n": 16, "half_width": 8.0},
+            "data": {"v0": {"family": "gaussian", "amplitude": 1e-9}},
+            "task": {"name": "bounds", "n_angles": 4, "c_list": [1.0]},
+        }
+        run_dir = cli.run(cfg, tmp_path)
+        reports = json.loads((run_dir / "summary.json").read_text())["result"]["reports"]
+        assert reports[0] == {
+            "kind": "Eigenvalue",
+            "bound_value": None,
+            "witness": {"reason": "no angle in the scan produces a negative eigenvalue"},
+        }
+        # no eigen witness and no u0: the energy-sign test is skipped
+        assert [r["kind"] for r in reports] == ["Eigenvalue", "LargeData"]
+
+    def test_threshold_honours_blowup_factor(self, tmp_path):
+        def probes(cfg):
+            run_dir = cli.run(cfg, tmp_path)
+            return json.loads((run_dir / "summary.json").read_text())["result"]["runs"]
+
+        # the default limits leave the a_hi probe running to t_end
+        cfg = threshold_config()
+        runs = probes(cfg)
+        assert [r["verdict"] for r in runs] == ["Scatters", "NonScatter"]
+        assert not runs[1]["evidence"]["blowup"]
+        # a limit below the initial sup-norm is crossed on the first step
+        cfg["solver"]["blowup_linf_factor"] = 0.5
+        runs = probes(cfg)
+        assert not runs[0]["evidence"]["blowup"]
+        assert runs[1]["evidence"]["blowup"]
+        assert runs[1]["evidence"]["t_blowup"] == pytest.approx(cfg["solver"]["dt"])
+
+    def test_threshold_classifier_keys(self, tmp_path, capsys):
+        # zero_level above every accumulator makes the a_hi probe scatter
+        cfg = threshold_config(classifier={"zero_level": 1e300})
+        with pytest.raises(BracketInvalidError, match="still scatters"):
+            cli.run(cfg, tmp_path)
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(threshold_config(classifier={"r_scater": 0.5})))
+        rc = cli.main(
+            ["threshold", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "TypeError"
+        assert "r_scater" in err["message"]
 
     def test_symmetry_task(self, tmp_path):
         cfg = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian
-from nls2lab.dynamics import DiagnosticSeries, Outcome, SolverConfig
+from nls2lab.dynamics import DiagnosticSeries, Outcome, SolverConfig, blowup_limits
 from nls2lab.errors import BracketInvalidError
 from nls2lab.spectral import Field, fh_half_norm, make_grid, zeros
 from nls2lab.threshold import (
@@ -16,7 +16,6 @@ from nls2lab.threshold import (
     normalize_shape,
     run_and_classify,
     scan_L_curve,
-    with_default_blowup,
 )
 
 
@@ -29,16 +28,11 @@ def synthetic_series(times, increments):
     for i in range(1, len(times)):
         acc += 0.5 * (increments[i - 1] + increments[i]) * (times[i] - times[i - 1])
         accs.append(acc)
-    s.times = list(times)
     n = len(times)
-    s.mass = [1.0] * n
-    s.energy = [1.0] * n
-    s.interaction = [0.0] * n
-    s.linf = [1.0] * n
-    s.s_norm_u_accum = list(accs)
-    s.s_norm_v_accum = list(accs)
-    s.w_norm_u_accum = list(accs)
-    s.w_norm_v_accum = list(accs)
+    s.columns.update(t=list(times), mass=[1.0] * n, energy=[1.0] * n,
+                     interaction=[0.0] * n, linf=[1.0] * n)
+    for name in ("s_accum_u", "s_accum_v", "w_accum_u", "w_accum_v"):
+        s.columns[name] = list(accs)
     return s
 
 
@@ -74,7 +68,7 @@ class TestClassifyRun:
         base = np.exp(-3.0 * self.times)
         s = synthetic_series(self.times, base)
         # tail contributions dominated by the early mass: tail_fraction tiny
-        s.s_norm_u_accum = [1.0 + 1e-9 * t for t in self.times]
+        s.columns["s_accum_u"] = [1.0 + 1e-9 * t for t in self.times]
         v = classify_run(s, Outcome("completed", 4.0))
         assert v.verdict_u != NONSCATTER
 
@@ -93,8 +87,8 @@ class TestClassifyRun:
         s = synthetic_series(self.times, np.exp(-2.0 * self.times))
         # make the v component plateau
         flat = synthetic_series(self.times, np.ones_like(self.times))
-        s.s_norm_v_accum = flat.s_norm_v_accum
-        s.w_norm_v_accum = flat.w_norm_v_accum
+        s.columns["s_accum_v"] = flat["s_accum_v"]
+        s.columns["w_accum_v"] = flat["w_accum_v"]
         v = classify_run(s, Outcome("completed", 4.0))
         assert v.verdict_u == SCATTERS
         assert v.verdict_v == NONSCATTER
@@ -129,10 +123,10 @@ class TestRunAndClassify:
         from nls2lab.dynamics import State
 
         s = State(gaussian(grid24, 2.0), gaussian(grid24, 1.5), 0.0)
-        cfg = with_default_blowup(SolverConfig(dt=1e-2, t_end=1.0), s)
-        assert np.isfinite(cfg.blowup_linf)
-        assert cfg.blowup_linf == pytest.approx(2e3, rel=1e-6)
-        assert np.isfinite(cfg.blowup_hs)
+        linf_limit, hs_limit = blowup_limits(s, SolverConfig(dt=1e-2, t_end=1.0))
+        assert np.isfinite(linf_limit)
+        assert linf_limit == pytest.approx(2e3, rel=1e-6)
+        assert np.isfinite(hs_limit)
 
 
 class TestNormalizeShape:
