@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -113,8 +114,11 @@ def _solver_config(block: dict) -> dynamics.SolverConfig:
 
 
 def _write_summary(run_dir: Path, payload: dict):
-    with open(run_dir / "summary.json", "w") as fh:
-        fh.write(canonical_json(payload))
+    """Write summary.json atomically: it marks the run as finished, so a
+    payload that fails to serialize must leave no file behind."""
+    tmp = run_dir / "summary.json.tmp"
+    tmp.write_text(canonical_json(payload))
+    os.replace(tmp, run_dir / "summary.json")
 
 
 def _task_simulate(config, grid, run_dir):
@@ -220,11 +224,14 @@ def _task_threshold(config, grid, run_dir):
         max_bisections=int(task.get("max_bisections", 8)),
         classifier=classifier,
     )
-    est.v0_descriptor = config["data"]["v0"]
-    est.shape_descriptor = task["shape"]
+    result = {
+        **est.to_dict(),
+        "v0_descriptor": config["data"]["v0"],
+        "shape_descriptor": task["shape"],
+    }
     with open(run_dir / "threshold.json", "w") as fh:
-        fh.write(canonical_json(est.to_dict()))
-    return est.to_dict()
+        fh.write(canonical_json(result))
+    return result
 
 
 def _task_symmetry(config, grid, run_dir):

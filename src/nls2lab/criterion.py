@@ -139,9 +139,6 @@ def scan_theta(v0: Field, n_angles: int = 16, tol: float = 1e-10):
     angle produces a negative eigenvalue."""
     best = None
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
-        W = -2.0 * np.real(np.exp(1j * theta) * v0.values)
-        if W.min() >= 0.0:
-            continue
         try:
             res = lowest_eigenpair(v0, float(theta), tol=tol)
         except NoNegativeEigenvalueError:

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteFieldError
+from .observables import X_SPEC_U, X_SPEC_V, ConservedReport
+from .observables import energy as energy_report
 from .spectral import (
     Field,
     Grid,
-    NormSpec,
     _read_header,
     _read_values,
     _write_header,
@@ -26,20 +27,17 @@ from .spectral import (
     fftn,
     ifftn,
     lp_norm,
-    sobolev_seminorm,
     weighted_lp_norm,
     x_norm,
 )
 
 # space-time diagnostic exponents: L_t^{3/2} of the L_x^{9/2} norm for the
-# S-type accumulator, L_t^6 of the weighted X^{1/2,18/7} norm for the W-type
-# accumulator (the Lorentz second index of the underlying norms is dropped;
-# finite runs cannot see it).
+# S-type accumulator, L_t^6 of the X^{1/2,18/7} norm (observables.X_SPEC_U,
+# X_SPEC_V) for the W-type accumulator (the Lorentz second index of the
+# underlying norms is dropped; finite runs cannot see it).
 S_SPACE_R = 4.5
 S_TIME_Q = 1.5
 W_TIME_Q = 6.0
-W_SPEC_U = NormSpec(s=0.5, r=18.0 / 7.0, m=0.5, q=W_TIME_Q)
-W_SPEC_V = NormSpec(s=0.5, r=18.0 / 7.0, m=1.0, q=W_TIME_Q)
 
 
 @dataclass
@@ -118,19 +116,18 @@ class DiagnosticSeries:
     def __getitem__(self, name: str) -> list:
         return self.columns[name]
 
-    def append(self, state: State):
-        from .observables import energy as energy_report
-
+    def append(self, state: State) -> ConservedReport:
+        """Record one state; returns its conserved-quantity report."""
         rep = energy_report(state)
         t = state.t
         su = lp_norm(state.u, S_SPACE_R)
         sv = lp_norm(state.v, S_SPACE_R)
         if t == 0.0:
-            wu = weighted_lp_norm(state.u, 0.5, W_SPEC_U.r)
-            wv = weighted_lp_norm(state.v, 0.5, W_SPEC_V.r)
+            wu = weighted_lp_norm(state.u, X_SPEC_U.s, X_SPEC_U.r)
+            wv = weighted_lp_norm(state.v, X_SPEC_V.s, X_SPEC_V.r)
         else:
-            wu = x_norm(state.u, t, W_SPEC_U)
-            wv = x_norm(state.v, t, W_SPEC_V)
+            wu = x_norm(state.u, t, X_SPEC_U)
+            wv = x_norm(state.v, t, X_SPEC_V)
         cur = {
             "s_accum_u": su ** S_TIME_Q,
             "s_accum_v": sv ** S_TIME_Q,
@@ -155,6 +152,7 @@ class DiagnosticSeries:
         cols["linf"].append(
             max(float(np.abs(state.u.values).max()), float(np.abs(state.v.values).max()))
         )
+        return rep
 
     def final_w_proxy(self, component: str) -> float:
         accum = self.columns[f"w_accum_{component}"]
@@ -252,12 +250,11 @@ def strang_step(state: State, cfg: SolverConfig) -> State:
     return State(Field(state.grid, u), Field(state.grid, v), state.t + cfg.dt)
 
 
-def blowup_limits(state: State, cfg: SolverConfig) -> tuple:
-    """Absolute (sup-norm, H^1) blowup thresholds of a run that starts at
-    `state`: the config's factors times the initial sizes, floored at 1e-12
-    so zero data still gets a finite limit."""
-    linf0 = max(lp_norm(state.u, np.inf), lp_norm(state.v, np.inf))
-    hs0 = sobolev_seminorm(state.u, 1.0) + sobolev_seminorm(state.v, 1.0)
+def blowup_limits(linf0: float, hs0: float, cfg: SolverConfig) -> tuple:
+    """Absolute (sup-norm, H^1) blowup thresholds of a run whose initial
+    record has sup-norm `linf0` and H^1 size `hs0`: the config's factors
+    times those sizes, floored at 1e-12 so zero data still gets a finite
+    limit."""
     return (
         cfg.blowup_linf_factor * max(linf0, 1e-12),
         cfg.blowup_hs_factor * max(hs0, 1e-12),
@@ -268,12 +265,13 @@ def evolve(state: State, cfg: SolverConfig):
     """March the state to t_end, recording diagnostics every record_every
     steps.  Returns (final_state, DiagnosticSeries, Outcome); crossing a
     blowup threshold (see blowup_limits) is an early Completed-with-Blowup
-    outcome, not an error.
+    outcome, not an error.  The initial sizes and the per-record H^1 check
+    come from the diagnostic records.
     """
-    blowup_linf, blowup_hs = blowup_limits(state, cfg)
     series = DiagnosticSeries()
-    series.append(state)
+    rep = series.append(state)
     prev_linf = series["linf"][-1]
+    blowup_linf, blowup_hs = blowup_limits(prev_linf, rep.h1_size, cfg)
     nsteps = int(round((cfg.t_end - state.t) / cfg.dt))
     kern = _StepKernel(state.grid, cfg)
     u = state.u.values.copy()
@@ -300,11 +298,8 @@ def evolve(state: State, cfg: SolverConfig):
         record = istep % cfg.record_every == 0 or istep == nsteps or crossed
         if record:
             out = State(Field(state.grid, u), Field(state.grid, v), t)
-            if not crossed and np.isfinite(blowup_hs):
-                hs = sobolev_seminorm(out.u, 1.0) + sobolev_seminorm(out.v, 1.0)
-                crossed = hs > blowup_hs
-            series.append(out)
-            if crossed:
+            rep = series.append(out)
+            if crossed or rep.h1_size > blowup_hs:
                 return out, series, Outcome("blowup", t)
         prev_linf = cur_linf
 

@@ -76,7 +76,7 @@ def solve_ground_state(
         res2 = float(np.sqrt(np.sum(np.abs(mult2 * q2hat - n2hat) ** 2) * dvol))
         history.append((res1, res2))
         if res1 < tol and res2 < tol:
-            _check_monotone_tail(history, grid, omega, q1, q2, it)
+            _check_monotone_tail(history, grid, q1, q2)
             return GroundState(
                 Q1=Field(grid, q1),
                 Q2=Field(grid, q2),
@@ -118,7 +118,7 @@ def solve_ground_state(
     )
 
 
-def _check_monotone_tail(history, grid, omega, q1, q2, it):
+def _check_monotone_tail(history, grid, q1, q2):
     tail = history[-10:]
     for (a1, a2), (b1, b2) in zip(tail, tail[1:]):
         if b1 > a1 * 1.05 or b2 > a2 * 1.05:

@@ -7,13 +7,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    Field,
     NormSpec,
+    fftn,
     fh_half_norm,
+    ifftn,
     lp_norm,
     sobolev_seminorm,
     x_norm,
 )
+
+# the time-dependent X^{1/2, 18/7} norm of each component: the quadratic
+# phase mass is 1/2 for u and 1 for v
+X_SPEC_U = NormSpec(s=0.5, r=18.0 / 7.0, m=0.5)
+X_SPEC_V = NormSpec(s=0.5, r=18.0 / 7.0, m=1.0)
 
 
 @dataclass
@@ -23,6 +29,11 @@ class ConservedReport:
     kinetic_u: float
     kinetic_v: float
     interaction: float
+
+    @property
+    def h1_size(self) -> float:
+        """||grad u|| + ||grad v||, read back from the kinetic terms."""
+        return float(np.sqrt(self.kinetic_u) + np.sqrt(2.0 * self.kinetic_v))
 
 
 def mass(state) -> float:
@@ -36,8 +47,6 @@ def interaction_term(state, dealias: bool = False) -> float:
     fields are 2/3-rule truncated first, matching the solver's setting."""
     u, v = state.u.values, state.v.values
     if dealias:
-        from .spectral import fftn, ifftn
-
         m = state.grid.dealias_mask
         u = ifftn(m * fftn(u))
         v = ifftn(m * fftn(v))
@@ -76,10 +85,6 @@ def report_all(state) -> dict:
         "linf_v": lp_norm(state.v, np.inf),
     }
     if state.t != 0.0:
-        out["x_norm_u"] = x_norm(
-            state.u, state.t, NormSpec(s=0.5, r=18.0 / 7.0, m=0.5)
-        )
-        out["x_norm_v"] = x_norm(
-            state.v, state.t, NormSpec(s=0.5, r=18.0 / 7.0, m=1.0)
-        )
+        out["x_norm_u"] = x_norm(state.u, state.t, X_SPEC_U)
+        out["x_norm_v"] = x_norm(state.v, state.t, X_SPEC_V)
     return out

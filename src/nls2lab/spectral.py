@@ -166,10 +166,9 @@ class NormSpec:
     s: float
     r: float
     m: float
-    q: float = 2.0
 
     def __post_init__(self):
-        if self.r < 1 or self.q < 1 or self.s < 0:
+        if self.r < 1 or self.s < 0:
             raise ValueError(f"invalid NormSpec {self}")
         if self.m not in (0.5, 1.0):
             raise ValueError(f"m must be 1/2 or 1, got {self.m}")

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criterion import eigenvalue_bound, scan_theta
 from .dynamics import DiagnosticSeries, Outcome, SolverConfig, State, evolve
 from .errors import BracketInvalidError, NoNegativeEigenvalueError
-from .observables import energy as energy_report
 from .spectral import Field, fh_half_norm
 
 SCATTERS = "Scatters"
@@ -56,8 +56,6 @@ class RunVerdict:
 
 @dataclass
 class ThresholdEstimate:
-    v0_descriptor: dict
-    shape_descriptor: dict
     ell_lower: float
     ell_upper: float
     runs: list
@@ -66,8 +64,6 @@ class ThresholdEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "v0_descriptor": self.v0_descriptor,
-            "shape_descriptor": self.shape_descriptor,
             "ell_lower": self.ell_lower,
             "ell_upper": self.ell_upper,
             "runs": [
@@ -192,8 +188,6 @@ def normalize_shape(shape: Field) -> Field:
 
 
 def _attach_bounds(v0: Field):
-    from .criterion import eigenvalue_bound, scan_theta
-
     try:
         res = scan_theta(v0)
         return [eigenvalue_bound(v0, res)]
@@ -228,10 +222,13 @@ def bisect_threshold(
         runs.append((float(a), verdict))
         return verdict.verdict
 
-    if probe(a_lo) != SCATTERS:
-        raise BracketInvalidError(f"lower endpoint {a_lo} did not scatter")
-    if probe(a_hi) != NONSCATTER:
-        raise BracketInvalidError(f"upper endpoint {a_hi} still scatters")
+    v = probe(a_lo)
+    if v != SCATTERS:
+        raise BracketInvalidError(f"lower endpoint {a_lo} did not scatter (verdict {v})")
+    v = probe(a_hi)
+    if v != NONSCATTER:
+        what = "still scatters" if v == SCATTERS else "is undecided"
+        raise BracketInvalidError(f"upper endpoint {a_hi} {what} (verdict {v})")
 
     lo, hi = a_lo, a_hi
     flagged = False
@@ -252,8 +249,6 @@ def bisect_threshold(
 
     bounds = _attach_bounds(v0) if analytic_bounds else []
     return ThresholdEstimate(
-        v0_descriptor={},
-        shape_descriptor={},
         ell_lower=lo,
         ell_upper=hi,
         runs=runs,

@@ -220,6 +220,24 @@ class TestRun:
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["result"]["discrepancy"] < 1e-6
 
+    def test_unserializable_result_leaves_no_summary(self, tmp_path, monkeypatch):
+        calls = []
+
+        def task(config, grid, run_dir):
+            calls.append(run_dir)
+            return {"value": object()} if len(calls) == 1 else {"value": 1.0}
+
+        monkeypatch.setitem(cli._TASKS, "simulate", task)
+        cfg = base_config()
+        with pytest.raises(TypeError):
+            cli.run(cfg, tmp_path)
+        assert not (calls[0] / "summary.json").exists()
+        # the rerun is not mistaken for a finished run
+        run_dir = cli.run(cfg, tmp_path)
+        assert len(calls) == 2
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["result"] == {"value": 1.0}
+
     def test_unknown_task(self, tmp_path):
         cfg = base_config(task={"name": "frobnicate"})
         with pytest.raises(ValueError, match="unknown task"):

@@ -1,6 +1,8 @@
 """Time stepping: linear flow exactness, substep invariants, splitting
 order, blowup handling, diagnostics recording, and state files."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from nls2lab.dynamics import (
     write_state,
 )
 from nls2lab.observables import mass
-from nls2lab.spectral import Field, lp_norm, make_grid, zeros
+from nls2lab.spectral import Field, lp_norm, make_grid, sobolev_seminorm, zeros
 
 
 class TestLinearStep:
@@ -149,6 +151,27 @@ class TestEvolve:
         assert out.blew_up
         assert out.t < 5.0
         assert series["t"][-1] == pytest.approx(out.t)
+
+    def test_h1_blowup_detection(self):
+        g = make_grid(3, 16, 6.0)
+        s = State(gaussian(g, 6.0), gaussian(g, 6.0), 0.0)
+        cfg = SolverConfig(
+            dt=2e-3, t_end=5.0, record_every=5,
+            blowup_linf_factor=np.inf, blowup_hs_factor=1.5,
+        )
+        fin, series, out = evolve(s, cfg)
+        assert out.blew_up
+        assert out.t == pytest.approx(0.3)
+        assert len(series["t"]) == 31
+
+        def h1(state):
+            return sobolev_seminorm(state.u, 1.0) + sobolev_seminorm(state.v, 1.0)
+
+        # the same run without the H^1 limit, stopped one record earlier
+        quiet = replace(cfg, t_end=out.t - cfg.record_every * cfg.dt, blowup_hs_factor=np.inf)
+        prev, _, _ = evolve(s, quiet)
+        assert h1(fin) > 1.5 * h1(s)
+        assert h1(prev) <= 1.5 * h1(s)
 
     def test_nonfinite_without_threshold_raises(self):
         g = make_grid(3, 16, 6.0)

@@ -6,7 +6,7 @@ import pytest
 from conftest import gaussian
 from nls2lab.dynamics import SolverConfig, State, evolve, linear_step
 from nls2lab.observables import energy, interaction_term, mass, report_all
-from nls2lab.spectral import Field, make_grid, zeros
+from nls2lab.spectral import Field, make_grid, sobolev_seminorm, zeros
 
 
 def test_mass_gaussian_closed_form():
@@ -71,6 +71,19 @@ def test_nonlinear_flow_conserves_energy():
     e0 = energy(s).energy
     fin, _, _ = evolve(s, SolverConfig(dt=1e-3, t_end=0.2, dealias=False))
     assert energy(fin).energy == pytest.approx(e0, rel=1e-6)
+
+
+def test_h1_size_is_the_gradient_norm_sum():
+    rng = np.random.default_rng(5)
+    g = make_grid(3, 16, 5.0)
+    u, v = (
+        Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        for _ in range(2)
+    )
+    # read back from the kinetic terms without rounding
+    assert energy(State(u, v, 0.0)).h1_size == (
+        sobolev_seminorm(u, 1.0) + sobolev_seminorm(v, 1.0)
+    )
 
 
 def test_report_all_keys():

@@ -123,7 +123,11 @@ class TestRunAndClassify:
         from nls2lab.dynamics import State
 
         s = State(gaussian(grid24, 2.0), gaussian(grid24, 1.5), 0.0)
-        linf_limit, hs_limit = blowup_limits(s, SolverConfig(dt=1e-2, t_end=1.0))
+        series = DiagnosticSeries()
+        rep = series.append(s)
+        linf_limit, hs_limit = blowup_limits(
+            series["linf"][-1], rep.h1_size, SolverConfig(dt=1e-2, t_end=1.0)
+        )
         assert np.isfinite(linf_limit)
         assert linf_limit == pytest.approx(2e3, rel=1e-6)
         assert np.isfinite(hs_limit)
@@ -154,6 +158,22 @@ class TestBisect:
                 gs24_w2.Q2, shape, 1.0, 2.0, cfg, max_bisections=0,
                 analytic_bounds=False,
             )
+
+    def test_undecided_upper_endpoint_named(self, monkeypatch):
+        import nls2lab.threshold as threshold
+
+        def stub(u0, v0, cfg, classifier=None):
+            verdict = SCATTERS if not np.any(u0.values) else UNDECIDED
+            return threshold.RunVerdict(verdict, verdict, verdict), None, None
+
+        monkeypatch.setattr(threshold, "run_and_classify", stub)
+        g = make_grid(3, 16, 6.0)
+        cfg = SolverConfig(dt=1e-2, t_end=0.1)
+        with pytest.raises(BracketInvalidError, match="verdict Undecided") as err:
+            threshold.bisect_threshold(
+                zeros(g), gaussian(g, 1.0), 0.0, 1.0, cfg, analytic_bounds=False
+            )
+        assert "still scatters" not in str(err.value)
 
 
 class TestLCurve:
