@@ -128,12 +128,14 @@ class DiagnosticSeries:
         else:
             wu = x_norm(state.u, t, X_SPEC_U)
             wv = x_norm(state.v, t, X_SPEC_V)
-        cur = {
-            "s_accum_u": su ** S_TIME_Q,
-            "s_accum_v": sv ** S_TIME_Q,
-            "w_accum_u": wu ** W_TIME_Q,
-            "w_accum_v": wv ** W_TIME_Q,
-        }
+        # float64 powers: a huge finite record overflows to inf, not an error
+        with np.errstate(over="ignore"):
+            cur = {
+                "s_accum_u": float(np.float64(su) ** S_TIME_Q),
+                "s_accum_v": float(np.float64(sv) ** S_TIME_Q),
+                "w_accum_u": float(np.float64(wu) ** W_TIME_Q),
+                "w_accum_v": float(np.float64(wv) ** W_TIME_Q),
+            }
 
         cols = self.columns
         for key, value in cur.items():
@@ -188,18 +190,47 @@ def linear_step(f: Field, dt: float, a: float) -> Field:
     return Field(f.grid, _apply_multiplier(_phase(f.grid, a, dt), f.values))
 
 
-def _nl_rhs(u: np.ndarray, v: np.ndarray):
-    return 2j * v * np.conj(u), 1j * u * u
+def _rk4(u: np.ndarray, v: np.ndarray, dt: float, bufs) -> tuple:
+    """One RK4 step of du/dt = 2i v conj(u), dv/dt = i u^2 from (u, v),
+    computed in the six same-shape complex arrays `bufs` without allocating.
+    u and v are only read; the result is held in bufs[0] and bufs[1]."""
+    out_u, out_v, yu, yv, ku, kv = bufs
+
+    def rhs(xu, xv):  # k = (2i xv conj(xu), i xu^2)
+        np.multiply(np.conjugate(xu, out=ku), xv, out=ku)
+        np.multiply(ku, 2j, out=ku)
+        np.multiply(np.multiply(xu, xu, out=kv), 1j, out=kv)
+
+    def stage(c):  # y = (u, v) + c k
+        np.add(np.multiply(ku, c, out=yu), u, out=yu)
+        np.add(np.multiply(kv, c, out=yv), v, out=yv)
+
+    def add(w):  # out += w k, summed in the order k1 + 2 k2 + 2 k3 + k4
+        for out, k in ((out_u, ku), (out_v, kv)):
+            if w != 1.0:
+                k *= w
+            out += k
+
+    rhs(u, v)
+    np.copyto(out_u, ku)
+    np.copyto(out_v, kv)
+    stage(0.5 * dt)
+    rhs(yu, yv)
+    stage(0.5 * dt)
+    add(2.0)
+    rhs(yu, yv)
+    stage(dt)
+    add(2.0)
+    rhs(yu, yv)
+    add(1.0)
+    for out, x in ((out_u, u), (out_v, v)):
+        out *= dt / 6.0
+        out += x
+    return out_u, out_v
 
 
-def _rk4_nonlinear(u, v, dt):
-    k1u, k1v = _nl_rhs(u, v)
-    k2u, k2v = _nl_rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = _nl_rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = _nl_rhs(u + dt * k3u, v + dt * k3v)
-    un = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-    vn = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return un, vn
+def _all_finite(arrays, flags: np.ndarray) -> bool:
+    return all(np.isfinite(a, out=flags).all() for a in arrays)
 
 
 def nonlinear_substep(state: State, dt: float) -> State:
@@ -208,46 +239,85 @@ def nonlinear_substep(state: State, dt: float) -> State:
     The substep ODE conserves |u|^2 + 2|v|^2 at every grid point; RK4 drifts
     it by O(dt^5) per step.  The time field is not advanced here (splitting
     bookkeeping lives in strang_step)."""
-    un, vn = _rk4_nonlinear(state.u.values, state.v.values, dt)
-    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(vn))):
+    shape = state.grid.shape
+    bufs = [np.empty(shape, dtype=np.complex128) for _ in range(6)]
+    un, vn = _rk4(state.u.values, state.v.values, dt, bufs)
+    if not _all_finite((un, vn), np.empty(shape, dtype=bool)):
         raise NonFiniteFieldError("nonlinear substep produced non-finite values")
     return State(Field(state.grid, un), Field(state.grid, vn), state.t)
-
-
-class _StepKernel:
-    """Precomputed multipliers for repeated Strang steps on one grid."""
-
-    def __init__(self, grid: Grid, cfg: SolverConfig):
-        self.grid = grid
-        self.cfg = cfg
-        half = cfg.dt / 2.0
-        self.phase_u = _phase(grid, 1.0, half)
-        self.phase_v = _phase(grid, 0.5, half)
-        if cfg.dealias:
-            mask = grid.dealias_mask
-            self.post_u = self.phase_u * mask
-            self.post_v = self.phase_v * mask
-        else:
-            self.post_u = self.phase_u
-            self.post_v = self.phase_v
-
-    def step(self, u: np.ndarray, v: np.ndarray):
-        u = _apply_multiplier(self.phase_u, u)
-        v = _apply_multiplier(self.phase_v, v)
-        u, v = _rk4_nonlinear(u, v, self.cfg.dt)
-        u = _apply_multiplier(self.post_u, u)
-        v = _apply_multiplier(self.post_v, v)
-        return u, v
 
 
 def strang_step(state: State, cfg: SolverConfig) -> State:
     """One Strang step: half linear, full nonlinear substep, half linear,
     with the 2/3-rule mask applied after the nonlinear evaluation."""
-    kern = _StepKernel(state.grid, cfg)
-    u, v = kern.step(state.u.values, state.v.values)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise NonFiniteFieldError("strang step produced non-finite values")
-    return State(Field(state.grid, u), Field(state.grid, v), state.t + cfg.dt)
+    grid = state.grid
+    half = cfg.dt / 2.0
+    mid = State(linear_step(state.u, half, 1.0), linear_step(state.v, half, 0.5), state.t)
+    mid = nonlinear_substep(mid, cfg.dt)
+    mask = grid.dealias_mask if cfg.dealias else 1.0
+    u = _apply_multiplier(_phase(grid, 1.0, half) * mask, mid.u.values)
+    v = _apply_multiplier(_phase(grid, 0.5, half) * mask, mid.v.values)
+    return State(Field(grid, u), Field(grid, v), state.t + cfg.dt)
+
+
+class _StepKernel:
+    """Fused Strang stepping of one evolve call in the half-shifted frame.
+
+    The iterate is the true state advanced by a further linear half-step,
+    i.e. the input of the next nonlinear substep, so the two linear
+    half-steps that meet between substeps are applied as one multiplier
+    exp(-i a |k|^2 dt) (times the 2/3-rule mask): 4 FFTs per step.  Every
+    array is allocated once, here; the FFTs run in place."""
+
+    COEFFS = (1.0, 0.5)  # dispersion coefficients a of u and v
+
+    def __init__(self, grid: Grid, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray):
+        self.grid = grid
+        self.dt = cfg.dt
+        mask = grid.dealias_mask if cfg.dealias else 1.0
+        self.full = [_phase(grid, a, cfg.dt) * mask for a in self.COEFFS]
+        self.half = [_phase(grid, a, cfg.dt / 2.0) * mask for a in self.COEFFS]
+        self.iterate = [
+            _apply_multiplier(_phase(grid, a, cfg.dt / 2.0), f)
+            for a, f in zip(self.COEFFS, (u0, v0))
+        ]
+        self.bufs = [np.empty(grid.shape, dtype=np.complex128) for _ in range(6)]
+        self.spectra = self.bufs[:2]
+        self.modulus = np.empty(grid.shape)
+        self.flags = np.empty(grid.shape, dtype=bool)
+
+    def step(self) -> bool:
+        """Advance the iterate by one step.  Returns False, leaving the
+        iterate as it was, when the nonlinear substep overflows."""
+        out = _rk4(*self.iterate, self.dt, self.bufs)
+        if not _all_finite(out, self.flags):
+            return False
+        self.spectra = [fftn(w, overwrite=True) for w in out]
+        self.iterate = [
+            ifftn(np.multiply(w, m, out=it), overwrite=True)
+            for w, m, it in zip(self.spectra, self.full, self.iterate)
+        ]
+        return True
+
+    def true_values(self) -> list:
+        """The true (u, v) after the last step, recovered from its kept
+        post-substep spectra by the masked half-step; they live in two of
+        the kernel's buffers until the next step."""
+        return [
+            ifftn(np.multiply(w, m, out=y), overwrite=True)
+            for w, m, y in zip(self.spectra, self.half, self.bufs[2:4])
+        ]
+
+    def undo_half_step(self) -> list:
+        """The true (u, v) before the pending substep: the iterate with its
+        linear half-step undone (the conjugate phase, as |phase| = 1)."""
+        return [
+            _apply_multiplier(_phase(self.grid, a, -self.dt / 2.0), it)
+            for a, it in zip(self.COEFFS, self.iterate)
+        ]
+
+    def linf(self, arrays) -> float:
+        return max(float(np.abs(a, out=self.modulus).max()) for a in arrays)
 
 
 def blowup_limits(linf0: float, hs0: float, cfg: SolverConfig) -> tuple:
@@ -266,45 +336,60 @@ def evolve(state: State, cfg: SolverConfig):
     steps.  Returns (final_state, DiagnosticSeries, Outcome); crossing a
     blowup threshold (see blowup_limits) is an early Completed-with-Blowup
     outcome, not an error.  The initial sizes and the per-record H^1 check
-    come from the diagnostic records.
+    come from the diagnostic records.  (t_end - t)/dt must be a whole
+    number of steps.
+
+    The steps are fused (see _StepKernel): the loop carries the state half
+    a linear step ahead, so a step costs 4 FFTs, and the true state is
+    recovered (2 FFTs) only for a record, a blowup candidate and the final
+    state.  The sup-norm of the shifted iterate is checked every step, but
+    a crossing only makes the step a candidate: blowup is decided on the
+    true state's sup-norm.  A substep that overflows is caught before its
+    FFTs; the previous true state is then recovered by undoing the
+    half-step of the retained iterate.
     """
+    ratio = (cfg.t_end - state.t) / cfg.dt
+    nsteps = round(ratio)
+    if abs(ratio - nsteps) > 1e-9 * max(abs(ratio), 1.0):
+        raise ValueError(
+            f"(t_end - t)/dt = {ratio!r} is not a whole number of steps"
+        )
+    grid = state.grid
     series = DiagnosticSeries()
     rep = series.append(state)
-    prev_linf = series["linf"][-1]
-    blowup_linf, blowup_hs = blowup_limits(prev_linf, rep.h1_size, cfg)
-    nsteps = int(round((cfg.t_end - state.t) / cfg.dt))
-    kern = _StepKernel(state.grid, cfg)
-    u = state.u.values.copy()
-    v = state.v.values.copy()
-    t = state.t
+    blowup_linf, blowup_hs = blowup_limits(series["linf"][-1], rep.h1_size, cfg)
+    kern = _StepKernel(grid, cfg, state.u.values, state.v.values)
+    out = None
 
     for istep in range(1, nsteps + 1):
-        un, vn = kern.step(u, v)
-        tn = state.t + istep * cfg.dt
-        if not (np.all(np.isfinite(un)) and np.all(np.isfinite(vn))):
+        t = state.t + istep * cfg.dt
+        if not kern.step():
             # mid-collapse overflow: the previous step was already most of
             # the way to the threshold, so report blowup there
-            if prev_linf >= 0.5 * blowup_linf:
-                out = State(Field(state.grid, u), Field(state.grid, v), t)
+            prev = kern.undo_half_step()
+            if kern.linf(prev) >= 0.5 * blowup_linf:
+                out = State(Field(grid, prev[0]), Field(grid, prev[1]), t - cfg.dt)
                 series.append(out)
-                return out, series, Outcome("blowup", t)
+                return out, series, Outcome("blowup", out.t)
             raise NonFiniteFieldError(
-                f"non-finite values at t={tn:.6g} without threshold crossing "
+                f"non-finite values at t={t:.6g} without threshold crossing "
                 "(dt too large?)"
             )
-        u, v, t = un, vn, tn
-        cur_linf = max(float(np.abs(u).max()), float(np.abs(v).max()))
-        crossed = cur_linf > blowup_linf
-        record = istep % cfg.record_every == 0 or istep == nsteps or crossed
-        if record:
-            out = State(Field(state.grid, u), Field(state.grid, v), t)
+        true = None
+        crossed = False
+        if kern.linf(kern.iterate) > blowup_linf:  # a candidate only
+            true = kern.true_values()
+            crossed = kern.linf(true) > blowup_linf
+        if crossed or istep % cfg.record_every == 0 or istep == nsteps:
+            u, v = true if true is not None else kern.true_values()
+            out = State(Field(grid, u), Field(grid, v), t)
             rep = series.append(out)
             if crossed or rep.h1_size > blowup_hs:
                 return out, series, Outcome("blowup", t)
-        prev_linf = cur_linf
 
-    out = State(Field(state.grid, u), Field(state.grid, v), t)
-    return out, series, Outcome("completed", t)
+    if out is None:  # no steps taken
+        out = state.copy()
+    return out, series, Outcome("completed", out.t)
 
 
 def write_state(path, state: State):

@@ -178,12 +178,15 @@ def zeros(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
-def fftn(values: np.ndarray) -> np.ndarray:
-    return sfft.fftn(values, norm="ortho", workers=_FFT_WORKERS)
+def fftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Unitary n-D FFT.  With overwrite, `values` may be reused for the
+    result; use the returned array."""
+    return sfft.fftn(values, norm="ortho", workers=_FFT_WORKERS, overwrite_x=overwrite)
 
 
-def ifftn(values: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(values, norm="ortho", workers=_FFT_WORKERS)
+def ifftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Inverse of fftn, with the same overwrite contract."""
+    return sfft.ifftn(values, norm="ortho", workers=_FFT_WORKERS, overwrite_x=overwrite)
 
 
 def lp_norm(f: Field, r: float) -> float:
@@ -281,10 +284,12 @@ def sobolev_seminorm(f: Field, s: float) -> float:
 
 
 def quadratic_phase(grid: Grid, m: float, t: float) -> np.ndarray:
-    """exp(i m |x|^2 / (2t)) on the mesh (t != 0)."""
+    """exp(i m |x|^2 / (2t)) on the mesh (t != 0), built as the product of
+    one factor per axis."""
     if t == 0:
         raise ValueError("quadratic phase is undefined at t = 0")
-    return np.exp(1j * m * grid.r2 / (2.0 * t))
+    c = 1j * m / (2.0 * t)
+    return reduce(np.multiply, (np.exp(c * a ** 2) for a in grid.axes))
 
 
 def x_norm(f: Field, t: float, spec: NormSpec) -> float:

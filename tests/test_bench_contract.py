@@ -9,14 +9,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # main() runs only under __main__
+    return module
+
+
 def test_micro_imports():
-    spec = importlib.util.spec_from_file_location("bench_micro", ROOT / "bench" / "micro.py")
-    micro = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(micro)  # main() runs only under __main__
-    assert callable(micro.main)
+    assert callable(load_bench_module("micro").main)
 
 
 def test_traced_simulate(tmp_path):
@@ -39,6 +45,14 @@ def test_traced_simulate(tmp_path):
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    spans = json.loads(spans_path.read_text())["spans"]
+    names = {span[0] for span in spans}
     for name in ("dynamics.evolve", "dynamics.record", "observables.energy", "spectral.fft"):
         assert name in names
+
+    # the work of the fused stepper: 4 FFTs a step, plus 4 for the initial
+    # half-shift and 2 to recover each of the 2 later records' true state
+    metrics = load_bench_module("tracer").layer_metrics(spans)
+    assert metrics["dynamics.steps"] == 10
+    assert metrics["dynamics.step.fft_calls"] == pytest.approx(4.8)
+    assert metrics["dynamics.record.fft_calls"] == pytest.approx(14 / 3)

@@ -13,6 +13,7 @@ from nls2lab.dynamics import (
     DiagnosticSeries,
     SolverConfig,
     State,
+    _StepKernel,
     evolve,
     linear_step,
     nonlinear_substep,
@@ -183,6 +184,24 @@ class TestEvolve:
         with pytest.raises(NonFiniteFieldError):
             evolve(s, cfg)
 
+    def test_huge_finite_record_is_a_blowup(self):
+        # the crossing record at t = 0.2 has sup-norm ~1.7e54: its W-type
+        # integrand overflows float64, which must not turn into an error
+        g = make_grid(3, 16, 6.0)
+        s = State(gaussian(g, 20.0), gaussian(g, 20.0), 0.0)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, blowup_linf_factor=1e5)
+        _, series, out = evolve(s, cfg)
+        assert out.blew_up
+        assert out.t == pytest.approx(0.2)
+        assert series["linf"][-1] > 1e50
+        assert np.isinf(series["w_accum_u"][-1])
+
+    def test_fractional_step_count_rejected(self):
+        g = make_grid(3, 16, 6.0)
+        s = State(gaussian(g, 0.1), gaussian(g, 0.1), 0.0)
+        with pytest.raises(ValueError, match="whole number"):
+            evolve(s, SolverConfig(dt=3e-2, t_end=0.1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.0, t_end=1.0)
@@ -190,6 +209,92 @@ class TestEvolve:
             SolverConfig(dt=0.1, t_end=1.0, substep_integrator="Euler")
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_end=1.0, record_every=0)
+
+
+def unfused_strang(state, dt, dealias):
+    """Reference Strang step from the primitives, one FFT round trip per
+    linear half-step and per mask application."""
+    half = dt / 2.0
+    s = State(linear_step(state.u, half, 1.0), linear_step(state.v, half, 0.5), state.t)
+    s = nonlinear_substep(s, dt)
+    u, v = linear_step(s.u, half, 1.0), linear_step(s.v, half, 0.5)
+    if dealias:
+        mask = state.grid.dealias_mask
+        u, v = (Field(f.grid, np.fft.ifftn(mask * np.fft.fftn(f.values))) for f in (u, v))
+    return State(u, v, state.t + dt)
+
+
+def close(a, b, rtol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+class TestFusedKernel:
+    """evolve's fused, half-shifted stepping against the unfused Strang
+    reference: 16^3, 25 steps."""
+
+    NSTEPS = 25
+
+    def data(self):
+        g = make_grid(3, 16, 6.0)
+        return State(gaussian(g, 1.0), gaussian(g, 0.8, phase=0.3), 0.0)
+
+    def reference(self, cfg):
+        """Unfused states at steps 0..NSTEPS and the series recorded every
+        record_every steps."""
+        states = [self.data()]
+        for _ in range(self.NSTEPS):
+            states.append(unfused_strang(states[-1], cfg.dt, cfg.dealias))
+        series = DiagnosticSeries()
+        for st in states[:: cfg.record_every]:
+            series.append(st)
+        return states, series
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_evolve_matches_unfused_reference(self, dealias):
+        cfg = SolverConfig(dt=1e-2, t_end=0.25, record_every=5, dealias=dealias)
+        states, ref = self.reference(cfg)
+        fin, series, out = evolve(self.data(), cfg)
+        assert out.kind == "completed"
+        assert fin.t == pytest.approx(states[-1].t)
+        assert close(fin.u.values, states[-1].u.values)
+        assert close(fin.v.values, states[-1].v.values)
+        assert len(series["t"]) == 6
+        for name in DiagnosticSeries.COLUMNS:
+            assert close(series[name], ref[name]), name
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_half_step_undo(self, dealias):
+        cfg = SolverConfig(dt=1e-2, t_end=0.25, dealias=dealias)
+        states, _ = self.reference(cfg)
+        s0 = self.data()
+        kern = _StepKernel(s0.grid, cfg, s0.u.values, s0.v.values)
+        for k in range(self.NSTEPS):
+            u, v = kern.undo_half_step()
+            assert close(u, states[k].u.values) and close(v, states[k].v.values), k
+            assert kern.step()
+            u, v = kern.true_values()
+            assert close(u, states[k + 1].u.values) and close(v, states[k + 1].v.values), k
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_returns_the_previous_step(self):
+        # amplitude 30 with dt = 10: the first step is finite (sup-norm
+        # ~1e22) and the second overflows inside RK4.  A limit of 1.5x the
+        # first step's sup-norm makes that step the blowup state, recovered
+        # by undoing the half-step of the retained iterate.
+        g = make_grid(3, 16, 6.0)
+        s = State(gaussian(g, 30.0), gaussian(g, 30.0), 0.0)
+        first = unfused_strang(s, 10.0, True)
+        linf1 = max(lp_norm(first.u, np.inf), lp_norm(first.v, np.inf))
+        cfg = SolverConfig(
+            dt=10.0, t_end=100.0, blowup_linf_factor=1.5 * linf1 / 30.0,
+            blowup_hs_factor=np.inf,
+        )
+        fin, series, out = evolve(s, cfg)
+        assert out.blew_up
+        assert out.t == fin.t == 10.0
+        assert series["t"] == [0.0, 10.0]
+        assert close(fin.u.values, first.u.values) and close(fin.v.values, first.v.values)
 
 
 class TestStateIO:
