@@ -25,6 +25,10 @@ from scipy import fft as sfft
 from .errors import NonFiniteFieldError
 
 _FFT_WORKERS = -1
+# arrays smaller than this are transformed on one thread: in cache, handing
+# work to a second thread costs more than the split saves, and that cost
+# varies with the load on the host
+_FFT_THREADED_MIN_SIZE = 32 ** 3
 
 # closed forms of int |x| exp(-|x|^2) dx and int |x|^3 exp(-|x|^2) dx on R^d
 _WEIGHT_GAUSS_1 = {1: 1.0, 2: np.pi ** 1.5 / 2.0, 3: 2.0 * np.pi}
@@ -178,15 +182,19 @@ def zeros(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
+def _workers(values: np.ndarray) -> int:
+    return _FFT_WORKERS if values.size >= _FFT_THREADED_MIN_SIZE else 1
+
+
 def fftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Unitary n-D FFT.  With overwrite, `values` may be reused for the
     result; use the returned array."""
-    return sfft.fftn(values, norm="ortho", workers=_FFT_WORKERS, overwrite_x=overwrite)
+    return sfft.fftn(values, norm="ortho", workers=_workers(values), overwrite_x=overwrite)
 
 
 def ifftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Inverse of fftn, with the same overwrite contract."""
-    return sfft.ifftn(values, norm="ortho", workers=_FFT_WORKERS, overwrite_x=overwrite)
+    return sfft.ifftn(values, norm="ortho", workers=_workers(values), overwrite_x=overwrite)
 
 
 def lp_norm(f: Field, r: float) -> float:
@@ -215,14 +223,14 @@ def _spectral_upsample(values: np.ndarray, p: int) -> np.ndarray:
     n = values.shape[0]
     dim = values.ndim
     m = n * p
-    vhat = sfft.fftn(values, workers=_FFT_WORKERS)
+    vhat = sfft.fftn(values, workers=_workers(values))
     out = np.zeros((m,) * dim, dtype=np.complex128)
     lo = np.arange(0, n // 2)
     hi = np.arange(m - n // 2, m)
     idx = np.concatenate([lo, hi])
     src = np.concatenate([lo, np.arange(n // 2, n)])
     out[np.ix_(*([idx] * dim))] = vhat[np.ix_(*([src] * dim))]
-    return np.real(sfft.ifftn(out, workers=_FFT_WORKERS)) * p ** dim
+    return np.real(sfft.ifftn(out, workers=_workers(out))) * p ** dim
 
 
 def fh_half_norm(f: Field) -> float:
@@ -241,8 +249,8 @@ def fh_half_norm(f: Field) -> float:
     if total == 0.0:
         return 0.0
 
-    ghat = sfft.fftn(g, workers=_FFT_WORKERS)
-    lap_g = np.real(sfft.ifftn(-grid.k2 * ghat, workers=_FFT_WORKERS))
+    ghat = sfft.fftn(g, workers=_workers(g))
+    lap_g = np.real(sfft.ifftn(-grid.k2 * ghat, workers=_workers(ghat)))
     g0 = float(g[grid.center_index])
     lap0 = float(lap_g[grid.center_index])
 
