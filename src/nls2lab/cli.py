@@ -1,22 +1,11 @@
 """Command-line entry points and the run-configuration schema.
 
-A run is described by one JSON config file:
-
-    {
-      "seed": 0,
-      "grid": {"dim": 3, "n": 48, "half_width": 10.0},
-      "solver": {"dt": 1e-3, "t_end": 1.0, "dealias": true,
-                 "record_every": 20,
-                 "blowup_linf_factor": 1e3, "blowup_hs_factor": 1e3},
-      "data": {"u0": {...descriptor}, "v0": {...descriptor}},
-      "task": {"name": "simulate", ...task parameters}
-    }
-
-Data descriptors (field "family"):
-    zero
-    gaussian                amplitude, width, center, phase, boost
-    ground_state_component  omega, which ("Q1"|"Q2"), scale
-    file                    path
+A run is one JSON config with the blocks seed, grid, solver, data ({"u0":
+descriptor, "v0": descriptor}) and task ({"name": ..., parameters}).  Every
+block, data family and task has one key table below; a key its table does
+not name is an error, raised before the run directory is made or any solve
+starts.  An absent key takes the default of the function the block goes to,
+so each default is written once.  README "Command line" lists every key.
 
 Tasks: simulate, groundstate, eigen, bounds, threshold, symmetry-check.
 Artifacts land in <out>/<task>-<config-hash>/ ; rerunning an identical
@@ -37,17 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, groundstate, observables, threshold
-from .criterion import (
-    BoundReport,
-    energy_sign_bound,
-    eigenvalue_bound,
-    large_data_bound,
-    lowest_eigenpair,
-    scan_theta,
-)
+from . import criterion, dynamics, groundstate, observables, threshold
 from .errors import NoNegativeEigenvalueError
-from .spectral import Field, Grid, make_grid, read_field, write_field
+from .spectral import Field, Grid, make_grid, read_field, write_field, zeros
 from .symmetry import check_equivariance
 
 
@@ -59,58 +40,122 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:12]
 
 
+def _block(where: str, table: dict):
+    """The cast of one config block: the keys present, each cast by `table`.
+    A key the table does not name is an error."""
+
+    def cast(block: dict) -> dict:
+        unknown = sorted(set(block) - set(table))
+        if unknown:
+            allowed = ", ".join(sorted(table)) or "none"
+            raise ValueError(f"unknown key {unknown} in {where}; allowed: {allowed}")
+        return {k: table[k](v) for k, v in block.items()}
+
+    return cast
+
+
+def _floats(values) -> list:
+    return [float(x) for x in values]
+
+
+def _which(which: str) -> str:
+    if which not in ("Q1", "Q2"):
+        raise ValueError(f"which must be 'Q1' or 'Q2', got {which!r}")
+    return which
+
+
 @lru_cache(maxsize=4)
-def _ground_state_cached(grid: Grid, omega: float):
-    return groundstate.solve_ground_state(grid, omega)
+def _ground_state(grid: Grid, omega: float = 1.0, **solve_keys):
+    return groundstate.solve_ground_state(grid, omega, **solve_keys)
+
+
+def _gaussian(grid, role, amplitude=1.0, width=1.0, center=None, phase=0.0, boost=None):
+    center, boost = (np.zeros(grid.dim) if v is None else np.asarray(v)
+                     for v in (center, boost))
+    if center.shape != (grid.dim,) or boost.shape != (grid.dim,):
+        raise ValueError(f"center and boost need {grid.dim} components on this grid")
+    r2 = sum((a - c) ** 2 for a, c in zip(grid.axes, center))
+    vals = amplitude * np.exp(1j * phase) * np.exp(-r2 / (2.0 * width ** 2))
+    if np.any(boost != 0.0):
+        xdot = sum(a * c for a, c in zip(grid.axes, boost))
+        vals = vals * np.exp(1j * (2.0 if role == "v" else 1.0) * xdot)
+    return Field(grid, vals)
+
+
+def _ground_state_component(grid, role, which="Q2", scale=1.0, **omega):
+    """`omega`, when given, goes on to _ground_state, which holds its default."""
+    return Field(grid, scale * getattr(_ground_state(grid, **omega), which).values)
+
+
+def _file(grid, role, path):
+    f = read_field(path)
+    if f.grid != grid:
+        raise ValueError(f"field file {path} has a mismatched grid")
+    return f
+
+
+# data family: (builder, key table); the builder's signature holds the defaults
+_FAMILIES = {
+    "zero": (lambda grid, role: zeros(grid), {}),
+    "gaussian": (_gaussian, {"amplitude": float, "width": float, "center": _floats,
+                             "phase": float, "boost": _floats}),
+    "ground_state_component": (_ground_state_component,
+                               {"omega": float, "which": _which, "scale": float}),
+    "file": (_file, {"path": str}),
+}
+
+
+def _descriptor(desc: dict) -> dict:
+    family = desc.get("family")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown data family {family!r}")
+    table = {"family": str, **_FAMILIES[family][1]}
+    return _block(f"{family} descriptor", table)(desc)
 
 
 def build_data(desc: dict, grid: Grid, role: str = "u") -> Field:
     """Construct a field from a family descriptor.  The boost phase of a
     v-component field is doubled, matching the pair transform."""
-    family = desc.get("family")
-    if family == "zero":
-        return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
-    if family == "gaussian":
-        amp = float(desc.get("amplitude", 1.0))
-        width = float(desc.get("width", 1.0))
-        center = np.asarray(desc.get("center", [0.0] * grid.dim), dtype=float)
-        phase = float(desc.get("phase", 0.0))
-        boost = np.asarray(desc.get("boost", [0.0] * grid.dim), dtype=float)
-        r2 = sum((a - c) ** 2 for a, c in zip(grid.axes, center))
-        vals = amp * np.exp(1j * phase) * np.exp(-r2 / (2.0 * width ** 2))
-        if np.any(boost != 0.0):
-            mult = 2.0 if role == "v" else 1.0
-            xdot = sum(a * c for a, c in zip(grid.axes, boost))
-            vals = vals * np.exp(1j * mult * xdot)
-        return Field(grid, vals)
-    if family == "ground_state_component":
-        gs = _ground_state_cached(grid, float(desc.get("omega", 1.0)))
-        which = desc.get("which", "Q2")
-        base = {"Q1": gs.Q1, "Q2": gs.Q2}[which]
-        return Field(grid, float(desc.get("scale", 1.0)) * base.values)
-    if family == "file":
-        f = read_field(desc["path"])
-        if f.grid != grid:
-            raise ValueError(f"field file {desc['path']} has a mismatched grid")
-        return f
-    raise ValueError(f"unknown data family {family!r}")
+    keys = _descriptor(desc)
+    return _FAMILIES[keys.pop("family")][0](grid, role, **keys)
 
 
-# solver block keys and their types; absent keys take SolverConfig's defaults
-_SOLVER_KEYS = {
-    "dt": float,
-    "t_end": float,
-    "dealias": bool,
-    "record_every": int,
-    "blowup_linf_factor": float,
-    "blowup_hs_factor": float,
+_CLASSIFIER = _block("classifier", dict.fromkeys(
+    ("r_scatter", "r_grow", "plateau_floor", "zero_level"), float))
+
+# each task's keys besides "name"; the task passes them on to its library call
+_TASK_KEYS = {
+    "simulate": {},
+    "groundstate": {"omega": float, "tol": float, "max_iter": int},
+    "eigen": {"theta": lambda t: t if t == "scan" else float(t), "n_angles": int,
+              "tol": float},
+    "bounds": {"n_angles": int, "c_list": _floats},
+    "threshold": {"shape": _descriptor, "a_lo": float, "a_hi": float,
+                  "max_bisections": int,
+                  "classifier": lambda b: threshold.ClassifierConfig(**_CLASSIFIER(b))},
+    "symmetry-check": {"xi": _floats, "t_final": float},
 }
 
 
-def _solver_config(block: dict) -> dynamics.SolverConfig:
-    return dynamics.SolverConfig(
-        **{k: cast(block[k]) for k, cast in _SOLVER_KEYS.items() if k in block}
-    )
+def _task(block: dict) -> dict:
+    name = block.get("name")
+    if name not in _TASK_KEYS:
+        raise ValueError(f"unknown task {name!r}")
+    keys = _block(f"task {name!r}", {"name": str, **_TASK_KEYS[name]})(block)
+    del keys["name"]
+    return keys
+
+
+# the whole config; the checked task block holds only the task's parameters
+_CONFIG = _block("config", {
+    "seed": int,
+    "grid": _block("grid", {"dim": int, "n": int, "half_width": float}),
+    "solver": _block("solver", {"dt": float, "t_end": float, "dealias": bool,
+                                "record_every": int, "blowup_linf_factor": float,
+                                "blowup_hs_factor": float}),
+    "data": _block("data", {"u0": _descriptor, "v0": _descriptor}),
+    "task": _task,
+})
 
 
 def _write_summary(run_dir: Path, payload: dict):
@@ -124,9 +169,8 @@ def _write_summary(run_dir: Path, payload: dict):
 def _task_simulate(config, grid, run_dir):
     u0 = build_data(config["data"]["u0"], grid, "u")
     v0 = build_data(config["data"]["v0"], grid, "v")
-    state = dynamics.State(u0, v0, 0.0)
-    cfg = _solver_config(config["solver"])
-    final, series, outcome = dynamics.evolve(state, cfg)
+    cfg = dynamics.SolverConfig(**config["solver"])
+    final, series, outcome = dynamics.evolve(dynamics.State(u0, v0, 0.0), cfg)
     series.to_csv(run_dir / "series.csv")
     series.to_json(run_dir / "series.json")
     dynamics.write_state(run_dir / "final_state.nls2", final)
@@ -139,98 +183,60 @@ def _task_simulate(config, grid, run_dir):
 
 
 def _task_groundstate(config, grid, run_dir):
-    task = config["task"]
-    gs = groundstate.solve_ground_state(
-        grid,
-        float(task.get("omega", 1.0)),
-        tol=float(task.get("tol", 1e-11)),
-        max_iter=int(task.get("max_iter", 500)),
-    )
+    gs = _ground_state(grid, **config["task"])
     write_field(run_dir / "q1.nls2", gs.Q1)
     write_field(run_dir / "q2.nls2", gs.Q2)
     rep = observables.energy(dynamics.State(gs.Q1, gs.Q2, 0.0))
-    meta = {
-        "omega": gs.omega,
-        "residual1": gs.residual1,
-        "residual2": gs.residual2,
-        "iterations": gs.iterations,
-        "mass": rep.mass,
-        "energy": rep.energy,
-    }
-    with open(run_dir / "groundstate.json", "w") as fh:
-        fh.write(canonical_json(meta))
+    meta = {"omega": gs.omega, "residual1": gs.residual1, "residual2": gs.residual2,
+            "iterations": gs.iterations, "mass": rep.mass, "energy": rep.energy}
+    (run_dir / "groundstate.json").write_text(canonical_json(meta))
     return meta
 
 
 def _task_eigen(config, grid, run_dir):
-    task = config["task"]
+    keys = dict(config["task"])
+    theta = keys.pop("theta", "scan")
     v0 = build_data(config["data"]["v0"], grid, "v")
-    tol = float(task.get("tol", 1e-10))
-    theta = task.get("theta", "scan")
     if theta == "scan":
-        res = scan_theta(v0, int(task.get("n_angles", 16)), tol=tol)
+        res = criterion.scan_theta(v0, **keys)
     else:
-        res = lowest_eigenpair(v0, float(theta), tol=tol)
+        res = criterion.lowest_eigenpair(v0, theta, **keys)
     write_field(run_dir / "phi.nls2", res.phi)
-    return {
-        "e_tilde": res.e_tilde,
-        "theta": res.theta,
-        "residual": res.residual,
-        "iterations": res.iterations,
-    }
+    return {k: getattr(res, k) for k in ("e_tilde", "theta", "residual", "iterations")}
 
 
 def _task_bounds(config, grid, run_dir):
-    task = config["task"]
+    keys = dict(config["task"])
+    c_list = keys.pop("c_list", [1.0, 2.0, 4.0, 8.0, 16.0])
     v0 = build_data(config["data"]["v0"], grid, "v")
     reports = []
-
-    eig_witness = None
+    u0 = None
     try:
-        res = scan_theta(v0, int(task.get("n_angles", 16)))
-        rep = eigenvalue_bound(v0, res)
-        eig_witness = rep.witness_fields
+        rep = criterion.eigenvalue_bound(v0, criterion.scan_theta(v0, **keys))
+        u0 = rep.witness_fields[0]
         reports.append(rep)
     except NoNegativeEigenvalueError as exc:
-        reports.append(BoundReport("Eigenvalue", None, {"reason": str(exc)}))
-
-    if "u0" in config.get("data", {}):
+        reports.append(criterion.BoundReport("Eigenvalue", None, {"reason": str(exc)}))
+    if "u0" in config["data"]:
         u0 = build_data(config["data"]["u0"], grid, "u")
-    elif eig_witness is not None:
-        u0 = eig_witness[0]
-    else:
-        u0 = None
     if u0 is not None:
-        reports.append(energy_sign_bound(u0, v0))
-
-    c_list = task.get("c_list", [1.0, 2.0, 4.0, 8.0, 16.0])
-    reports.extend(large_data_bound(v0, [float(c) for c in c_list]))
-
+        reports.append(criterion.energy_sign_bound(u0, v0))
+    reports.extend(criterion.large_data_bound(v0, c_list))
     return {"reports": [r.to_dict() for r in reports]}
 
 
 def _task_threshold(config, grid, run_dir):
-    task = config["task"]
-    v0 = build_data(config["data"]["v0"], grid, "v")
-    shape = build_data(task["shape"], grid, "u")
-    cfg = _solver_config(config["solver"])
-    classifier = threshold.ClassifierConfig(**task.get("classifier", {}))
+    keys = dict(config["task"])
+    shape = keys.pop("shape")
     est = threshold.bisect_threshold(
-        v0,
-        shape,
-        float(task["a_lo"]),
-        float(task["a_hi"]),
-        cfg,
-        max_bisections=int(task.get("max_bisections", 8)),
-        classifier=classifier,
+        build_data(config["data"]["v0"], grid, "v"),
+        build_data(shape, grid, "u"),
+        cfg=dynamics.SolverConfig(**config["solver"]),
+        **keys,
     )
-    result = {
-        **est.to_dict(),
-        "v0_descriptor": config["data"]["v0"],
-        "shape_descriptor": task["shape"],
-    }
-    with open(run_dir / "threshold.json", "w") as fh:
-        fh.write(canonical_json(result))
+    result = {**est.to_dict(), "v0_descriptor": config["data"]["v0"],
+              "shape_descriptor": shape}
+    (run_dir / "threshold.json").write_text(canonical_json(result))
     return result
 
 
@@ -238,35 +244,28 @@ def _task_symmetry(config, grid, run_dir):
     task = config["task"]
     u0 = build_data(config["data"]["u0"], grid, "u")
     v0 = build_data(config["data"]["v0"], grid, "v")
-    cfg = _solver_config(config["solver"])
-    xi = np.asarray(task["xi"], dtype=float)
-    disc = check_equivariance((u0, v0), xi, float(task["t_final"]), cfg)
-    return {"xi": list(map(float, xi)), "t_final": task["t_final"], "discrepancy": disc}
+    cfg = dynamics.SolverConfig(**config["solver"])
+    disc = check_equivariance((u0, v0), task["xi"], task["t_final"], cfg)
+    return {"xi": task["xi"], "t_final": task["t_final"], "discrepancy": disc}
 
 
-_TASKS = {
-    "simulate": _task_simulate,
-    "groundstate": _task_groundstate,
-    "eigen": _task_eigen,
-    "bounds": _task_bounds,
-    "threshold": _task_threshold,
-    "symmetry-check": _task_symmetry,
-}
+_TASKS = {"simulate": _task_simulate, "groundstate": _task_groundstate,
+          "eigen": _task_eigen, "bounds": _task_bounds, "threshold": _task_threshold,
+          "symmetry-check": _task_symmetry}
 
 
 def run(config: dict, out_dir) -> Path:
-    """Execute the configured task; returns the run directory."""
+    """Execute the configured task; returns the run directory.  The task is
+    handed the checked config, after every block and the grid pass."""
+    checked = _CONFIG(config)
+    grid = make_grid(**checked["grid"])
     name = config["task"]["name"]
-    if name not in _TASKS:
-        raise ValueError(f"unknown task {name!r}")
     h = config_hash(config)
     run_dir = Path(out_dir) / f"{name}-{h}"
     if (run_dir / "summary.json").exists():
         return run_dir  # identical config already ran; never overwrite
     run_dir.mkdir(parents=True, exist_ok=True)
-    gblock = config["grid"]
-    grid = make_grid(int(gblock["dim"]), int(gblock["n"]), float(gblock["half_width"]))
-    result = _TASKS[name](config, grid, run_dir)
+    result = _TASKS[name](checked, grid, run_dir)
     _write_summary(run_dir, {"config_hash": h, "task": name, "result": result})
     return run_dir
 

@@ -43,6 +43,12 @@ class BoundReport:
         }
 
 
+# relative tolerances of the checks made before a bound is reported: the
+# witness energy of eigenvalue_bound and large_data_bound's square-root identity
+_WITNESS_ENERGY_TOL = 1e-8
+_SQRT_IDENTITY_TOL = 1e-10
+
+
 def _l2(values: np.ndarray, dvol: float) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * dvol))
 
@@ -95,7 +101,11 @@ def lowest_eigenpair(
 
         A = LinearOperator((npts, npts), matvec=matvec, dtype=float)
         M = LinearOperator((npts, npts), matvec=precond, dtype=float)
-        w, _ = cg(A, phi, x0=phi, rtol=1e-12, atol=0.0, maxiter=400, M=M)
+        w, info = cg(A, phi, x0=phi, rtol=1e-12, atol=0.0, maxiter=400, M=M)
+        if info != 0:
+            raise NoConvergenceError(
+                f"inner CG solve failed (info {info}) in outer iteration {it}"
+            )
         nw = _l2(w, dvol)
         if nw == 0.0:
             raise NoConvergenceError("inverse iteration produced a zero vector")
@@ -152,9 +162,7 @@ def scan_theta(v0: Field, n_angles: int = 16, tol: float = 1e-10):
     return best
 
 
-def eigenvalue_bound(
-    v0: Field, res: EigenResult, energy_tol: float = 1e-8
-) -> BoundReport:
+def eigenvalue_bound(v0: Field, res: EigenResult) -> BoundReport:
     """Threshold bound from a negative eigenpair, with its zero-energy
     witness u0 = c e^{-i theta/2} phi.
 
@@ -173,7 +181,7 @@ def eigenvalue_bound(
     u0 = Field(phi.grid, c * np.exp(-0.5j * res.theta) * phi.values)
     rep = energy_report(State(u0, v0, 0.0))
     kinetic_scale = rep.kinetic_u + rep.kinetic_v
-    if abs(rep.energy) > energy_tol * kinetic_scale:
+    if abs(rep.energy) > _WITNESS_ENERGY_TOL * kinetic_scale:
         raise RuntimeError(
             f"witness energy {rep.energy:.3e} not zero at scale {kinetic_scale:.3e}"
         )
@@ -213,9 +221,7 @@ def large_data_profile(v0: Field) -> Field:
     return Field(v0.grid, np.sqrt(vals) * np.sqrt(np.abs(vals)))
 
 
-def large_data_bound(
-    v0: Field, c_list, identity_tol: float = 1e-10
-) -> list:
+def large_data_bound(v0: Field, c_list) -> list:
     """Energy scan of the amplified family (c^{1/2} d u0, c v0).
 
     d = ||grad v0|| / ||v0||_{L3}^{3/2} balances the kinetic and interaction
@@ -227,7 +233,7 @@ def large_data_bound(
     grid = v0.grid
     v3 = lp_norm(v0, 3.0) ** 3
     inter = float(np.real(np.sum(u0.values ** 2 * np.conj(v0.values))) * grid.dvol)
-    if abs(inter - v3) > identity_tol * max(v3, 1.0):
+    if abs(inter - v3) > _SQRT_IDENTITY_TOL * max(v3, 1.0):
         raise RuntimeError(
             f"square-root identity violated: {inter:.12e} vs {v3:.12e}"
         )

@@ -8,9 +8,7 @@ import numpy as np
 
 from .spectral import (
     NormSpec,
-    fftn,
     fh_half_norm,
-    ifftn,
     lp_norm,
     sobolev_seminorm,
     x_norm,
@@ -42,23 +40,18 @@ def mass(state) -> float:
     return float(np.sum(g) * state.grid.dvol)
 
 
-def interaction_term(state, dealias: bool = False) -> float:
-    """2 Re int u^2 conj(v).  The integrand is cubic; with dealias=True the
-    fields are 2/3-rule truncated first, matching the solver's setting."""
+def interaction_term(state) -> float:
+    """2 Re int u^2 conj(v)."""
     u, v = state.u.values, state.v.values
-    if dealias:
-        m = state.grid.dealias_mask
-        u = ifftn(m * fftn(u))
-        v = ifftn(m * fftn(v))
     val = 2.0 * np.real(np.sum(u * u * np.conj(v))) * state.grid.dvol
     return float(val)
 
 
-def energy(state, dealias: bool = False) -> ConservedReport:
+def energy(state) -> ConservedReport:
     """E = ||grad u||^2 + ||grad v||^2 / 2 - 2 Re int u^2 conj(v)."""
     ku = sobolev_seminorm(state.u, 1.0) ** 2
     kv = 0.5 * sobolev_seminorm(state.v, 1.0) ** 2
-    inter = interaction_term(state, dealias=dealias)
+    inter = interaction_term(state)
     return ConservedReport(
         mass=mass(state),
         energy=ku + kv - inter,

@@ -1,6 +1,7 @@
 """The names the benchmark under bench/ imports or wraps still exist: the
-microbenchmark module imports cleanly, and a traced CLI op records the
-spans of every layer the per-layer metrics read."""
+microbenchmark module imports cleanly, every workload's config passes the
+CLI's key tables, and a traced CLI op records the spans of every layer the
+per-layer metrics read."""
 
 import importlib.util
 import json
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from nls2lab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +26,19 @@ def load_bench_module(name):
 
 def test_micro_imports():
     assert callable(load_bench_module("micro").main)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["evolve64", "threshold24", "elliptic64"])
+def test_workload_configs_pass_the_schema(workload, seed, tmp_path, monkeypatch):
+    # a schema stricter than the bench would only show as ok_ratio 0 there
+    cfg = load_bench_module("workloads").make_config(workload, seed)
+    calls = []
+    for name in cli._TASKS:
+        monkeypatch.setitem(cli._TASKS, name, lambda *args: calls.append(args) or {})
+    run_dir = cli.run(cfg, tmp_path)
+    assert run_dir.name == f"{cfg['task']['name']}-{cli.config_hash(cfg)}"
+    assert len(calls) == 1
 
 
 def test_traced_simulate(tmp_path):

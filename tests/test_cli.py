@@ -1,6 +1,7 @@
 """CLI entry points: config hashing, idempotent run directories, task
 outputs, and error reporting."""
 
+import copy
 import json
 
 import numpy as np
@@ -41,6 +42,57 @@ def threshold_config(**task):
     )
     cfg["solver"]["record_every"] = 1
     cfg["data"] = {"v0": {"family": "zero"}}
+    return cfg
+
+
+# a value for every key each task block takes
+TASK_KEYS = {
+    "simulate": {},
+    "groundstate": {"omega": 1.0, "tol": 1e-9, "max_iter": 50},
+    "eigen": {"theta": "scan", "n_angles": 4, "tol": 1e-8},
+    "bounds": {"n_angles": 4, "c_list": [1.0, 4.0]},
+    "threshold": {
+        "shape": {"family": "gaussian", "width": 1.0},
+        "a_lo": 0.0,
+        "a_hi": 2.0,
+        "max_bisections": 0,
+        "classifier": {"r_scatter": 0.5, "r_grow": 0.9, "plateau_floor": 0.01,
+                       "zero_level": 1e-28},
+    },
+    "symmetry-check": {"xi": [0.0, 0.0, 0.0], "t_final": 0.1},
+}
+
+# one misspelt or misplaced key per block, family and task:
+# (task, path at which the value is set, value, the key the error must name)
+MISSPELT = {
+    "config": ("simulate", ("sed",), 0, "sed"),
+    "grid": ("simulate", ("grid", "half_widht"), 8.0, "half_widht"),
+    "solver": ("simulate", ("solver", "record_evry"), 5, "record_evry"),
+    "data": ("simulate", ("data", "w0"), {"family": "zero"}, "w0"),
+    "zero": ("simulate", ("data", "v0"), {"family": "zero", "amplitude": 0.0},
+             "amplitude"),
+    "gaussian": ("simulate", ("data", "u0", "amplitud"), 5.0, "amplitud"),
+    "ground_state_component": (
+        "simulate", ("data", "v0"),
+        {"family": "ground_state_component", "omgea": 2.0}, "omgea",
+    ),
+    "file": ("simulate", ("data", "v0"), {"family": "file", "pth": "v0.nls2"}, "pth"),
+    "shape": ("threshold", ("task", "shape", "widht"), 1.0, "widht"),
+    "classifier": ("threshold", ("task", "classifier", "r_scater"), 0.5, "r_scater"),
+    "task-simulate": ("simulate", ("task", "t_end"), 1.0, "t_end"),
+    "task-groundstate": ("groundstate", ("task", "max_iters"), 50, "max_iters"),
+    "task-eigen": ("eigen", ("task", "n_angle"), 4, "n_angle"),
+    "task-bounds": ("bounds", ("task", "c_lst"), [1.0], "c_lst"),
+    "task-threshold": ("threshold", ("task", "max_bisection"), 0, "max_bisection"),
+    "task-symmetry-check": ("symmetry-check", ("task", "t_fnal"), 0.1, "t_fnal"),
+}
+
+
+def full_config(task):
+    """A config that sets every key of its blocks."""
+    cfg = base_config(task={"name": task, **copy.deepcopy(TASK_KEYS[task])})
+    cfg["solver"].update(dealias=True, blowup_linf_factor=1e3, blowup_hs_factor=1e3)
+    cfg["data"]["u0"].update(center=[0.0, 0.0, 0.0], phase=0.0, boost=[0.0, 0.0, 0.0])
     return cfg
 
 
@@ -86,6 +138,21 @@ class TestBuildData:
         other = make_grid(3, 16, 4.0)
         with pytest.raises(ValueError, match="mismatched grid"):
             cli.build_data({"family": "file", "path": str(p)}, other)
+
+    def test_vector_length_must_match_grid(self):
+        g = make_grid(3, 16, 6.0)
+        for key, vec in (("center", [0.0, 0.0, 0.0, 1.0]), ("boost", [1.0, 0.0])):
+            with pytest.raises(ValueError, match="3 components"):
+                cli.build_data({"family": "gaussian", key: vec}, g)
+
+    def test_ground_state_component_which_checked_before_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the ground state was solved")
+
+        monkeypatch.setattr(cli.groundstate, "solve_ground_state", no_solve)
+        desc = {"family": "ground_state_component", "omega": 3.0, "which": "Q3"}
+        with pytest.raises(ValueError, match="'Q1' or 'Q2'"):
+            cli.build_data(desc, make_grid(3, 16, 6.0))
 
     def test_unknown_family(self):
         g = make_grid(3, 16, 6.0)
@@ -199,7 +266,7 @@ class TestRun:
         )
         assert rc == 1
         err = json.loads(capsys.readouterr().out.strip())
-        assert err["error"] == "TypeError"
+        assert err["error"] == "ValueError"
         assert "r_scater" in err["message"]
 
     def test_symmetry_task(self, tmp_path):
@@ -268,3 +335,30 @@ class TestMain:
         assert rc == 1
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"] == "ValueError"
+        assert not (tmp_path / "out").exists()  # the grid is checked first
+
+    @pytest.mark.parametrize("task", TASK_KEYS)
+    def test_every_key_accepted(self, task, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._TASKS, task, lambda *args: calls.append(args) or {})
+        cfg = full_config(task)
+        run_dir = cli.run(cfg, tmp_path)
+        assert run_dir.name == f"{task}-{cli.config_hash(cfg)}"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", MISSPELT.values(), ids=MISSPELT.keys())
+    def test_unknown_key_rejected_before_any_work(self, case, tmp_path, capsys):
+        task, path, value, key = case
+        cfg = full_config(task)
+        block = cfg
+        for name in path[:-1]:
+            block = block[name]
+        block[path[-1]] = value
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main([task, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ValueError"
+        assert repr(key) in err["message"]
+        assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import gaussian
 from oracles import dense_lowest_eigenpair
+from nls2lab import criterion
 from nls2lab.criterion import (
     energy_sign_bound,
     eigenvalue_bound,
@@ -13,7 +14,7 @@ from nls2lab.criterion import (
     lowest_eigenpair,
     scan_theta,
 )
-from nls2lab.errors import NoNegativeEigenvalueError
+from nls2lab.errors import NoConvergenceError, NoNegativeEigenvalueError
 from nls2lab.dynamics import State
 from nls2lab.observables import energy
 from nls2lab.spectral import Field, make_grid, zeros
@@ -52,6 +53,15 @@ class TestLowestEigenpair:
             assert exc.result is None or exc.result.e_tilde >= -1e-3
         else:
             pytest.fail("expected NoNegativeEigenvalueError")
+
+    def test_inner_cg_failure_raises(self, monkeypatch):
+        def failing_cg(A, b, **kwargs):
+            return kwargs["x0"], 1  # info > 0: maxiter reached
+
+        monkeypatch.setattr(criterion, "cg", failing_cg)
+        g = make_grid(3, 16, 8.0)
+        with pytest.raises(NoConvergenceError, match="outer iteration 1"):
+            lowest_eigenpair(gaussian(g, 3.0), 0.0)
 
     def test_theta_rotates_potential(self):
         g = make_grid(3, 16, 6.0)

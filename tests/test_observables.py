@@ -44,14 +44,6 @@ def test_interaction_phase_sensitivity():
     assert anti == pytest.approx(-base, rel=1e-12)
 
 
-def test_dealias_flag_changes_cubic_term():
-    g = make_grid(3, 16, 4.0)  # coarse: truncation visible
-    s = State(gaussian(g, 2.0, width=0.5), gaussian(g, 2.0, width=0.5), 0.0)
-    plain = interaction_term(s, dealias=False)
-    cut = interaction_term(s, dealias=True)
-    assert plain != pytest.approx(cut, rel=1e-12)
-
-
 def test_linear_flow_conserves_mass_and_kinetic_but_not_interaction():
     g = make_grid(3, 32, 10.0)
     s0 = State(gaussian(g, 0.8), gaussian(g, 0.6), 0.0)
