@@ -3,8 +3,8 @@
 A run is one JSON config with the blocks seed, grid, solver, data ({"u0":
 descriptor, "v0": descriptor}) and task ({"name": ..., parameters}).  Every
 block, data family and task has one key table below; a key its table does
-not name is an error, raised before the run directory is made or any solve
-starts.  An absent key takes the default of the function the block goes to,
+not name, or a required key absent, is an error, raised before the run
+directory is made or any solve starts.  An absent key takes the default of the function the block goes to,
 so each default is written once.  README "Command line" lists every key.
 
 Tasks: simulate, groundstate, eigen, bounds, threshold, symmetry-check.
@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +40,23 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:12]
 
 
+class _Required(partial):
+    """A key table entry the block must hold: _Required(cast) casts like cast."""
+
+
 def _block(where: str, table: dict):
     """The cast of one config block: the keys present, each cast by `table`.
-    A key the table does not name is an error."""
+    A key the table does not name, or a _Required key absent, is an error."""
 
     def cast(block: dict) -> dict:
         unknown = sorted(set(block) - set(table))
         if unknown:
             allowed = ", ".join(sorted(table)) or "none"
             raise ValueError(f"unknown key {unknown} in {where}; allowed: {allowed}")
+        missing = sorted(k for k, c in table.items()
+                         if isinstance(c, _Required) and k not in block)
+        if missing:
+            raise ValueError(f"missing key {missing} in {where}")
         return {k: table[k](v) for k, v in block.items()}
 
     return cast
@@ -101,7 +109,7 @@ _FAMILIES = {
                              "phase": float, "boost": _floats}),
     "ground_state_component": (_ground_state_component,
                                {"omega": float, "which": _which, "scale": float}),
-    "file": (_file, {"path": str}),
+    "file": (_file, {"path": _Required(str)}),
 }
 
 
@@ -130,10 +138,10 @@ _TASK_KEYS = {
     "eigen": {"theta": lambda t: t if t == "scan" else float(t), "n_angles": int,
               "tol": float},
     "bounds": {"n_angles": int, "c_list": _floats},
-    "threshold": {"shape": _descriptor, "a_lo": float, "a_hi": float,
-                  "max_bisections": int,
+    "threshold": {"shape": _Required(_descriptor), "a_lo": _Required(float),
+                  "a_hi": _Required(float), "max_bisections": int,
                   "classifier": lambda b: threshold.ClassifierConfig(**_CLASSIFIER(b))},
-    "symmetry-check": {"xi": _floats, "t_final": float},
+    "symmetry-check": {"xi": _Required(_floats), "t_final": _Required(float)},
 }
 
 
@@ -141,7 +149,10 @@ def _task(block: dict) -> dict:
     name = block.get("name")
     if name not in _TASK_KEYS:
         raise ValueError(f"unknown task {name!r}")
-    keys = _block(f"task {name!r}", {"name": str, **_TASK_KEYS[name]})(block)
+    table = _TASK_KEYS[name]
+    if name == "eigen" and block.get("theta", "scan") != "scan":
+        table = {k: c for k, c in table.items() if k != "n_angles"}  # no scan
+    keys = _block(f"task {name!r}", {"name": str, **table})(block)
     del keys["name"]
     return keys
 
@@ -149,12 +160,13 @@ def _task(block: dict) -> dict:
 # the whole config; the checked task block holds only the task's parameters
 _CONFIG = _block("config", {
     "seed": int,
-    "grid": _block("grid", {"dim": int, "n": int, "half_width": float}),
-    "solver": _block("solver", {"dt": float, "t_end": float, "dealias": bool,
-                                "record_every": int, "blowup_linf_factor": float,
-                                "blowup_hs_factor": float}),
+    "grid": _Required(_block("grid", {"dim": _Required(int), "n": _Required(int),
+                                      "half_width": _Required(float)})),
+    "solver": _block("solver", {"dt": _Required(float), "t_end": _Required(float),
+                                "dealias": bool, "record_every": int,
+                                "blowup_linf_factor": float, "blowup_hs_factor": float}),
     "data": _block("data", {"u0": _descriptor, "v0": _descriptor}),
-    "task": _task,
+    "task": _Required(_task),
 })
 
 

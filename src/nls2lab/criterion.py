@@ -53,6 +53,11 @@ def _l2(values: np.ndarray, dvol: float) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * dvol))
 
 
+def _potential(v0: Field, theta: float) -> np.ndarray:
+    """W = -2 Re(e^{i theta} v0), the potential of H(theta) = -Delta + W."""
+    return -2.0 * np.real(np.exp(1j * theta) * v0.values)
+
+
 def lowest_eigenpair(
     v0: Field, theta: float, tol: float = 1e-10, max_iter: int = 60
 ) -> EigenResult:
@@ -65,7 +70,7 @@ def lowest_eigenpair(
     eigenvalue is >= -tol (the potential is too shallow)."""
     grid = v0.grid
     dvol = grid.dvol
-    W = -2.0 * np.real(np.exp(1j * theta) * v0.values)
+    W = _potential(v0, theta)
     wmin = float(W.min())
     if wmin >= 0.0:
         raise NoNegativeEigenvalueError(
@@ -145,10 +150,14 @@ def lowest_eigenpair(
 def scan_theta(v0: Field, n_angles: int = 16, tol: float = 1e-10):
     """Scan theta over a uniform angle grid, keep the minimizing eigenpair.
 
-    Returns the best EigenResult, or raises NoNegativeEigenvalueError if no
-    angle produces a negative eigenvalue."""
+    An angle with min W >= the best e_tilde so far is skipped unsolved: k^2 >= 0
+    on the torus, so H >= min W there and the angle cannot win.  Returns the
+    best EigenResult, or raises NoNegativeEigenvalueError if no angle
+    produces a negative eigenvalue."""
     best = None
     for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+        if best is not None and _potential(v0, float(theta)).min() >= best.e_tilde:
+            continue
         try:
             res = lowest_eigenpair(v0, float(theta), tol=tol)
         except NoNegativeEigenvalueError:

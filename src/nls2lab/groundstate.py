@@ -126,27 +126,3 @@ def _check_monotone_tail(history, grid, q1, q2):
                 "residuals not monotonically decreasing near convergence",
                 best=(Field(grid, q1), Field(grid, q2)),
             )
-
-
-def ground_state_family(gs: GroundState, c1: float, c2: float):
-    """The pair (c1 Q1, c2 Q2) used to probe the scattering classifier."""
-    return (
-        Field(gs.Q1.grid, c1 * gs.Q1.values),
-        Field(gs.Q2.grid, c2 * gs.Q2.values),
-    )
-
-
-def radial_shell_means(f: Field, nbins: int = 24):
-    """Mean of Re f over radial shells; used for positivity/monotonicity
-    checks of ground-state profiles."""
-    r = f.grid.r.ravel()
-    vals = np.real(f.values).ravel()
-    edges = np.linspace(0.0, f.grid.half_width, nbins + 1)
-    idx = np.digitize(r, edges) - 1
-    means = np.full(nbins, np.nan)
-    for b in range(nbins):
-        sel = idx == b
-        if np.any(sel):
-            means[b] = vals[sel].mean()
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, means

@@ -10,6 +10,27 @@ def gaussian(grid, amp=1.0, width=1.0, phase=0.0):
     return Field(grid, vals)
 
 
+def ground_state_family(gs, c1, c2):
+    """The pair (c1 Q1, c2 Q2) used to probe the scattering classifier."""
+    return Field(gs.Q1.grid, c1 * gs.Q1.values), Field(gs.Q2.grid, c2 * gs.Q2.values)
+
+
+def radial_shell_means(f, nbins=24):
+    """Mean of Re f over radial shells, for the positivity and monotonicity
+    checks of ground-state profiles."""
+    r = f.grid.r.ravel()
+    vals = np.real(f.values).ravel()
+    edges = np.linspace(0.0, f.grid.half_width, nbins + 1)
+    idx = np.digitize(r, edges) - 1
+    means = np.full(nbins, np.nan)
+    for b in range(nbins):
+        sel = idx == b
+        if np.any(sel):
+            means[b] = vals[sel].mean()
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return centers, means
+
+
 @pytest.fixture(scope="session")
 def grid24():
     return make_grid(3, 24, 10.0)

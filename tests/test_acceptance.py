@@ -5,7 +5,7 @@ take tens of seconds each."""
 import numpy as np
 import pytest
 
-from conftest import gaussian
+from conftest import gaussian, ground_state_family
 from oracles import dense_lowest_eigenpair
 from nls2lab.criterion import (
     eigenvalue_bound,
@@ -14,7 +14,7 @@ from nls2lab.criterion import (
     lowest_eigenpair,
 )
 from nls2lab.dynamics import SolverConfig, State, evolve, nonlinear_substep
-from nls2lab.groundstate import ground_state_family, solve_ground_state
+from nls2lab.groundstate import solve_ground_state
 from nls2lab.observables import energy, mass
 from nls2lab.spectral import Field, fh_half_norm, make_grid, zeros
 from nls2lab.symmetry import check_equivariance, scale_data

@@ -88,6 +88,20 @@ MISSPELT = {
 }
 
 
+# one required key per block, family and task: (task, path of the key)
+REQUIRED = {
+    "grid": ("simulate", ("grid", "n")),
+    "solver-dt": ("simulate", ("solver", "dt")),
+    "solver-t_end": ("simulate", ("solver", "t_end")),
+    "file": ("simulate", ("data", "v0", "path")),
+    "shape": ("threshold", ("task", "shape")),
+    "a_lo": ("threshold", ("task", "a_lo")),
+    "a_hi": ("threshold", ("task", "a_hi")),
+    "xi": ("symmetry-check", ("task", "xi")),
+    "t_final": ("symmetry-check", ("task", "t_final")),
+}
+
+
 def full_config(task):
     """A config that sets every key of its blocks."""
     cfg = base_config(task={"name": task, **copy.deepcopy(TASK_KEYS[task])})
@@ -345,6 +359,38 @@ class TestMain:
         run_dir = cli.run(cfg, tmp_path)
         assert run_dir.name == f"{task}-{cli.config_hash(cfg)}"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", REQUIRED.values(), ids=REQUIRED.keys())
+    def test_missing_key_rejected_before_any_work(self, case, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the ground state was solved")
+
+        monkeypatch.setattr(cli.groundstate, "solve_ground_state", no_solve)
+        task, path = case
+        cfg = full_config(task)
+        # a v0 that reaches a solve or a read if the check comes too late
+        cfg["data"]["v0"] = ({"family": "file", "path": "v0.nls2"} if path[-1] == "path"
+                             else {"family": "ground_state_component"})
+        block = cfg
+        for name in path[:-1]:
+            block = block[name]
+        del block[path[-1]]
+        cfg_path = tmp_path / "missing.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main([task, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ValueError"
+        assert f"missing key [{path[-1]!r}]" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_n_angles_needs_a_theta_scan(self, tmp_path):
+        cfg = full_config("eigen")
+        cfg["task"]["theta"] = 0.0
+        with pytest.raises(ValueError, match=r"unknown key \['n_angles'\]"):
+            cli.run(cfg, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("case", MISSPELT.values(), ids=MISSPELT.keys())
     def test_unknown_key_rejected_before_any_work(self, case, tmp_path, capsys):

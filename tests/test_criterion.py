@@ -87,6 +87,69 @@ class TestScanTheta:
             scan_theta(gaussian(g, 0.02), n_angles=8, tol=1e-3)
 
 
+def brute_force_scan(v0, n_angles, tol):
+    """Every angle solved, the best kept by the scan's strict < rule; also
+    returns (min W, e_tilde) of each angle that reached an eigenvalue."""
+    best, solved = None, []
+    for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+        theta = float(theta)
+        try:
+            res = lowest_eigenpair(v0, theta, tol=tol)
+        except NoNegativeEigenvalueError as exc:
+            res, negative = exc.result, False
+        else:
+            negative = True
+        if res is not None:
+            solved.append((criterion._potential(v0, theta).min(), res.e_tilde))
+        if negative and (best is None or res.e_tilde < best.e_tilde):
+            best = res
+    return best, solved
+
+
+def counted_solves(monkeypatch):
+    """Record the angle of every lowest_eigenpair call the scan makes."""
+    thetas = []
+    solve = criterion.lowest_eigenpair
+
+    def counting(v0, theta, **kwargs):
+        thetas.append(theta)
+        return solve(v0, theta, **kwargs)
+
+    monkeypatch.setattr(criterion, "lowest_eigenpair", counting)
+    return thetas
+
+
+class TestScanPrune:
+    # an angle with min W >= the best e_tilde so far is skipped unsolved
+    @pytest.mark.parametrize("phase", [0.9, 0.0], ids=["complex", "real"])
+    def test_matches_brute_force(self, phase):
+        g = make_grid(3, 16, 6.0)
+        v0 = gaussian(g, 3.0, phase=phase)
+        best = scan_theta(v0, n_angles=16, tol=1e-9)
+        ref, solved = brute_force_scan(v0, 16, 1e-9)
+        assert best.theta == ref.theta
+        assert best.e_tilde == ref.e_tilde
+        # the bound the prune rests on: H >= min W, so e_tilde >= min W
+        assert len(solved) > 1
+        for wmin, e_tilde in solved:
+            assert e_tilde >= wmin - 1e-12 * abs(wmin)
+
+    def test_real_gaussian_takes_one_solve(self, monkeypatch):
+        thetas = counted_solves(monkeypatch)
+        g = make_grid(3, 16, 6.0)
+        best = scan_theta(gaussian(g, 3.0), n_angles=4, tol=1e-9)
+        assert thetas == [0.0]
+        assert best.theta == 0.0
+
+    def test_prune_waits_for_a_negative_eigenvalue(self, monkeypatch):
+        # W(0) = +6 e^{-r^2/2} >= 0: the first angle raises and sets no bound
+        thetas = counted_solves(monkeypatch)
+        g = make_grid(3, 16, 6.0)
+        best = scan_theta(gaussian(g, -3.0), n_angles=4, tol=1e-9)
+        assert thetas == [0.0, np.pi / 2.0, np.pi]
+        assert best.theta == np.pi
+
+
 class TestEigenvalueBound:
     def test_witness_energy_zero(self):
         g = make_grid(3, 32, 8.0)

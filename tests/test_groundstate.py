@@ -4,13 +4,10 @@ radial finite-difference oracle."""
 import numpy as np
 import pytest
 
+from conftest import ground_state_family, radial_shell_means
 from oracles import radial_ground_state_fd
 from nls2lab.dynamics import SolverConfig, State, evolve
-from nls2lab.groundstate import (
-    ground_state_family,
-    radial_shell_means,
-    solve_ground_state,
-)
+from nls2lab.groundstate import solve_ground_state
 from nls2lab.spectral import lp_norm, make_grid
 
 
