@@ -4,8 +4,9 @@ A run is one JSON config with the blocks seed, grid, solver, data ({"u0":
 descriptor, "v0": descriptor}) and task ({"name": ..., parameters}).  Every
 block, data family and task has one key table below; a key its table does
 not name, or a required key absent, is an error, raised before the run
-directory is made or any solve starts.  An absent key takes the default of the function the block goes to,
-so each default is written once.  README "Command line" lists every key.
+directory is made or any solve starts; the input blocks a task reads
+(_TASK_INPUTS) are required keys.  An absent key takes the default of the
+function the block goes to, so each default is written once.  README "Command line" lists every key.
 
 Tasks: simulate, groundstate, eigen, bounds, threshold, symmetry-check.
 Artifacts land in <out>/<task>-<config-hash>/ ; rerunning an identical
@@ -157,17 +158,40 @@ def _task(block: dict) -> dict:
     return keys
 
 
-# the whole config; the checked task block holds only the task's parameters
-_CONFIG = _block("config", {
-    "seed": int,
-    "grid": _Required(_block("grid", {"dim": _Required(int), "n": _Required(int),
-                                      "half_width": _Required(float)})),
-    "solver": _block("solver", {"dt": _Required(float), "t_end": _Required(float),
-                                "dealias": bool, "record_every": int,
-                                "blowup_linf_factor": float, "blowup_hs_factor": float}),
-    "data": _block("data", {"u0": _descriptor, "v0": _descriptor}),
-    "task": _Required(_task),
-})
+# the input blocks each task reads: "solver", and "u0"/"v0" inside "data"
+_TASK_INPUTS = {
+    "simulate": ("solver", "u0", "v0"),
+    "groundstate": (),
+    "eigen": ("v0",),
+    "bounds": ("v0",),
+    "threshold": ("solver", "v0"),
+    "symmetry-check": ("solver", "u0", "v0"),
+}
+
+_GRID = _block("grid", {"dim": _Required(int), "n": _Required(int),
+                        "half_width": _Required(float)})
+_SOLVER = _block("solver", {"dt": _Required(float), "t_end": _Required(float),
+                            "dealias": bool, "record_every": int,
+                            "blowup_linf_factor": float, "blowup_hs_factor": float})
+
+
+def _config(name):
+    """The cast of the whole config of task `name`, in which the input
+    blocks the task reads are required.  The checked task block holds only
+    the task's parameters."""
+    inputs = _TASK_INPUTS.get(name, ())
+
+    def need(key, cast):
+        return _Required(cast) if key in inputs else cast
+
+    data = _block("data", {k: need(k, _descriptor) for k in ("u0", "v0")})
+    return _block("config", {
+        "seed": int,
+        "grid": _Required(_GRID),
+        "solver": need("solver", _SOLVER),
+        "data": _Required(data) if {"u0", "v0"} & set(inputs) else data,
+        "task": _Required(_task),
+    })
 
 
 def _write_summary(run_dir: Path, payload: dict):
@@ -269,9 +293,9 @@ _TASKS = {"simulate": _task_simulate, "groundstate": _task_groundstate,
 def run(config: dict, out_dir) -> Path:
     """Execute the configured task; returns the run directory.  The task is
     handed the checked config, after every block and the grid pass."""
-    checked = _CONFIG(config)
+    name = config.get("task", {}).get("name")
+    checked = _config(name)(config)
     grid = make_grid(**checked["grid"])
-    name = config["task"]["name"]
     h = config_hash(config)
     run_dir = Path(out_dir) / f"{name}-{h}"
     if (run_dir / "summary.json").exists():

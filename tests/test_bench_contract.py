@@ -5,6 +5,7 @@ per-layer metrics read and do the exact work those metrics count."""
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nls2lab import cli
+from nls2lab import cli, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +89,23 @@ def test_traced_bounds_solves_one_angle(tmp_path):
         "data": {"v0": {"family": "gaussian", "amplitude": 3.0, "width": 1.0}},
         "task": {"n_angles": 4, "c_list": [1.0]},
     }
-    metrics = load_bench_module("tracer").layer_metrics(traced_spans("bounds", cfg, tmp_path))
+    spans = traced_spans("bounds", cfg, tmp_path)
+    metrics = load_bench_module("tracer").layer_metrics(spans)
     assert metrics["criterion.eigen.calls"] == 1
     assert metrics["criterion.eigen.useful_ratio"] == 1.0
+
+    # one norm for the eigenvalue witness, one for the energy-sign witness
+    # when it fires, and one for the large-data profile
+    (summary,) = (tmp_path / "runs").glob("*/summary.json")
+    reports = {r["kind"]: r for r in json.loads(summary.read_text())["result"]["reports"]}
+    norm_calls = 2 + (reports["EnergySign"]["bound_value"] is not None)
+    assert metrics["spectral.fh_half_norm.calls"] == norm_calls
+
+    # each norm: g and its Laplacian, axis 0 on the whole array, then one
+    # transform per slab of fine x-planes
+    m = 3 * cfg["grid"]["n"]
+    planes = max(1, spectral._SLAB_POINTS // m ** 2)
+    norms = [i for i, span in enumerate(spans) if span[0] == "spectral.fh_half_norm"]
+    for i in norms:
+        ffts = sum(span[0] == "spectral.fft" and span[3] == i for span in spans)
+        assert ffts == 3 + math.ceil(m / planes)

@@ -101,6 +101,20 @@ REQUIRED = {
     "t_final": ("symmetry-check", ("task", "t_final")),
 }
 
+# the input blocks each task reads, by path: ("solver",) or ("data", "u0"/"v0")
+READS = {
+    "simulate": [("solver",), ("data", "u0"), ("data", "v0")],
+    "groundstate": [],
+    "eigen": [("data", "v0")],
+    "bounds": [("data", "v0")],
+    "threshold": [("solver",), ("data", "v0")],
+    "symmetry-check": [("solver",), ("data", "u0"), ("data", "v0")],
+}
+# each input block removed alone, and the whole data block
+MISSING_INPUT = {f"{task}-{path[-1]}": (task, path)
+                 for task, paths in READS.items() if paths
+                 for path in paths + [("data",)]}
+
 
 def full_config(task):
     """A config that sets every key of its blocks."""
@@ -384,6 +398,41 @@ class TestMain:
         assert err["error"] == "ValueError"
         assert f"missing key [{path[-1]!r}]" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", MISSING_INPUT.values(), ids=MISSING_INPUT.keys())
+    def test_missing_input_block_rejected_before_any_work(self, case, tmp_path, capsys,
+                                                          monkeypatch):
+        task, path = case
+        monkeypatch.setitem(cli._TASKS, task, lambda *args: pytest.fail("the task ran"))
+        cfg = full_config(task)
+        block = cfg
+        for name in path[:-1]:
+            block = block[name]
+        del block[path[-1]]
+        cfg_path = tmp_path / "missing.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main([task, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ValueError"
+        assert f"missing key [{path[-1]!r}]" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task", READS)
+    def test_unread_input_blocks_stay_optional(self, task, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._TASKS, task, lambda *args: calls.append(args) or {})
+        cfg = full_config(task)
+        read = READS[task]
+        if ("solver",) not in read:
+            del cfg["solver"]
+        if not read:
+            del cfg["data"]
+        for role in ("u0", "v0"):
+            if read and ("data", role) not in read:
+                del cfg["data"][role]
+        cli.run(cfg, tmp_path)
+        assert len(calls) == 1
 
     def test_n_angles_needs_a_theta_scan(self, tmp_path):
         cfg = full_config("eigen")

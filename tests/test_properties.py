@@ -1,6 +1,10 @@
 """Property tests: Parseval for the unitary FFT, unitarity of the free
-flow, and a config hash that ignores key order.  Grids stay at 16^3 or
-below and the example counts small, so the file runs in seconds."""
+flow, the homogeneity of the weighted norm, the NLS2 file round trip, and
+a config hash that ignores key order.  Grids stay at 16^3 or below and the
+example counts small, so the file runs in seconds."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nls2lab import cli
-from nls2lab.dynamics import linear_step
-from nls2lab.spectral import Field, fftn, make_grid
+from nls2lab.dynamics import State, linear_step, read_state, write_state
+from nls2lab.spectral import Field, fftn, fh_half_norm, make_grid, read_field, write_field
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -46,6 +50,60 @@ def test_linear_step_unitary(dim, n, half_width, dt, a, seed):
     # the inverse step undoes it
     back = linear_step(out, -dt, a).values
     assert np.max(np.abs(back - f.values)) < 1e-12 * np.max(np.abs(f.values))
+
+
+grids = st.builds(make_grid, dim=st.integers(1, 3), n=st.sampled_from([8, 12, 16]),
+                  half_width=st.floats(0.5, 20.0))
+
+
+@FEW
+@given(
+    dim=st.integers(1, 3),
+    n=st.sampled_from([8, 12, 16]),
+    center=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    boost=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    c=st.floats(1e-3, 1e3),
+    alpha=st.floats(0.0, 2.0 * np.pi),
+)
+def test_fh_half_norm_homogeneous(dim, n, center, boost, c, alpha):
+    # a resolved Gaussian: width 1 on a lattice of spacing at most 1/2
+    g = make_grid(dim, n, n / 4.0)
+    r2 = sum((a - x) ** 2 for a, x in zip(g.axes, center))
+    phase = sum(a * k for a, k in zip(g.axes, boost))
+    f = Field(g, np.exp(-r2 / 2.0 + 1j * phase))
+    scaled = Field(g, c * np.exp(1j * alpha) * f.values)
+    assert fh_half_norm(scaled) == pytest.approx(c * fh_half_norm(f), rel=1e-12)
+
+
+def field_values(grid):
+    return hnp.arrays(np.complex128, grid.shape)
+
+
+@FEW
+@given(st.data(), grids)
+def test_field_file_roundtrip(data, grid):
+    f = Field(grid, data.draw(field_values(grid)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.nls2"
+        write_field(path, f)
+        back = read_field(path)
+    assert back.grid == grid
+    assert back.values.tobytes() == f.values.tobytes()
+
+
+@FEW
+@given(st.data(), grids, st.floats(allow_nan=False))
+def test_state_file_roundtrip(data, grid, t):
+    state = State(Field(grid, data.draw(field_values(grid))),
+                  Field(grid, data.draw(field_values(grid))), t)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.nls2"
+        write_state(path, state)
+        back = read_state(path)
+    assert back.grid == grid
+    assert back.t == t
+    assert back.u.values.tobytes() == state.u.values.tobytes()
+    assert back.v.values.tobytes() == state.v.values.tobytes()
 
 
 json_values = st.recursive(

@@ -1,10 +1,15 @@
 """Grid conventions, norms, and the binary field format."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import gaussian
-from oracles import radial_weighted_l2
+from oracles import dense_fh_half_norm, radial_weighted_l2
+from nls2lab import spectral
 from nls2lab.errors import NonFiniteFieldError
 from nls2lab.spectral import (
     Field,
@@ -22,6 +27,23 @@ from nls2lab.spectral import (
     x_norm,
     zeros,
 )
+
+
+# every transform scipy.fft offers; fh_half_norm may call only fftn/ifftn
+SCIPY_TRANSFORMS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2",
+    "irfft2", "rfftn", "irfftn", "hfft", "ihfft", "hfft2", "ihfft2", "hfftn", "ihfftn",
+)
+
+
+def boosted_gaussian(grid):
+    """An off-centre Gaussian with a plane-wave boost: no symmetry of the
+    lattice maps it to itself."""
+    center = (0.7, -0.4, 0.3)[: grid.dim]
+    boost = (0.5, -0.3, 0.2)[: grid.dim]
+    r2 = sum((a - c) ** 2 for a, c in zip(grid.axes, center))
+    phase = sum(a * b for a, b in zip(grid.axes, boost))
+    return Field(grid, 1.3 * np.exp(-r2 / 2.0 + 1j * phase))
 
 
 class TestGrid:
@@ -122,6 +144,46 @@ class TestNorms:
     def test_fh_half_zero_field(self):
         g = make_grid(3, 16, 4.0)
         assert fh_half_norm(zeros(g)) == 0.0
+
+    @pytest.mark.parametrize("one_plane", [False, True], ids=["default-slabs", "one-plane-slabs"])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (1, 48), (2, 16), (2, 24), (3, 16), (3, 24)])
+    def test_fh_half_matches_dense_oracle(self, dim, n, one_plane, monkeypatch):
+        # 24^3 takes two slabs, the second one short
+        if one_plane:
+            monkeypatch.setattr(spectral, "_SLAB_POINTS", 1)
+        f = boosted_gaussian(make_grid(dim, n, 6.0))
+        assert fh_half_norm(f) == pytest.approx(dense_fh_half_norm(f), rel=1e-14)
+
+    def test_fh_half_memory_below_one_fine_array(self):
+        n = 48
+        f = boosted_gaussian(make_grid(3, n, 6.0))
+        fine_array_bytes = (3 * n) ** 3 * 16  # 45.6 MiB of complex128
+        tracemalloc.start()
+        try:
+            fh_half_norm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fine_array_bytes
+
+    def test_fh_half_transforms_are_partial(self, monkeypatch):
+        n = 48
+        calls = []
+
+        def spy(name, transform):
+            def spied(x, *args, **kwargs):
+                calls.append((name, np.asarray(x).size))
+                return transform(x, *args, **kwargs)
+            return spied
+
+        for name in SCIPY_TRANSFORMS:
+            monkeypatch.setattr(scipy.fft, name, spy(name, getattr(scipy.fft, name)))
+        fh_half_norm(boosted_gaussian(make_grid(3, n, 6.0)))
+        assert {name for name, _ in calls} == {"fftn", "ifftn"}
+        assert max(size for _, size in calls) < (3 * n) ** 3
+        # g and its Laplacian, axis 0 on the whole array, then one per slab
+        planes = spectral._SLAB_POINTS // (3 * n) ** 2
+        assert len(calls) == 3 + math.ceil(3 * n / planes)
 
     def test_x_norm_rejects_t0_and_s0_reduces_to_lp(self):
         g = make_grid(3, 24, 6.0)
