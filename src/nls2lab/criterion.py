@@ -235,7 +235,9 @@ def large_data_bound(v0: Field, c_list) -> list:
 
     d = ||grad v0|| / ||v0||_{L3}^{3/2} balances the kinetic and interaction
     terms; for c past a finite threshold the energy turns negative and the
-    family stops scattering, with bound c^{1/2} ||d u0||_{FH^{1/2}}."""
+    family stops scattering, with bound c^{1/2} ||d u0||_{FH^{1/2}}.  The
+    reports keep c and d, not the amplified fields, so the scan holds one
+    pair at a time."""
     if lp_norm(v0, 2.0) == 0.0:
         raise ValueError("large_data_bound requires v0 != 0")
     u0 = large_data_profile(v0)
@@ -262,7 +264,6 @@ def large_data_bound(v0: Field, c_list) -> list:
                 kind="LargeData",
                 bound_value=float(np.sqrt(c) * du0_fh) if fired else None,
                 witness={"c": float(c), "d": float(d), "energy": rep.energy},
-                witness_fields=(uc, vc) if fired else None,
             )
         )
     return reports

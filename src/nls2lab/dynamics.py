@@ -27,7 +27,6 @@ from .spectral import (
     fftn,
     ifftn,
     lp_norm,
-    weighted_lp_norm,
     x_norm,
 )
 
@@ -122,12 +121,8 @@ class DiagnosticSeries:
         t = state.t
         su = lp_norm(state.u, S_SPACE_R)
         sv = lp_norm(state.v, S_SPACE_R)
-        if t == 0.0:
-            wu = weighted_lp_norm(state.u, X_SPEC_U.s, X_SPEC_U.r)
-            wv = weighted_lp_norm(state.v, X_SPEC_V.s, X_SPEC_V.r)
-        else:
-            wu = x_norm(state.u, t, X_SPEC_U)
-            wv = x_norm(state.v, t, X_SPEC_V)
+        wu = x_norm(state.u, t, X_SPEC_U)
+        wv = x_norm(state.v, t, X_SPEC_V)
         # float64 powers: a huge finite record overflows to inf, not an error
         with np.errstate(over="ignore"):
             cur = {

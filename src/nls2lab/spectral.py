@@ -29,8 +29,8 @@ _FFT_WORKERS = -1
 # work to a second thread costs more than the split saves, and that cost
 # varies with the load on the host
 _FFT_THREADED_MIN_SIZE = 32 ** 3
-# fine-lattice points per slab of fh_half_norm's 3x refinement: bounds the
-# memory of one call (4 MiB per complex slab)
+# fine-lattice points per slab of the 3x refinement that builds fh_half_norm's
+# weight: bounds the memory of the build (4 MiB per complex slab)
 _SLAB_POINTS = 1 << 18
 
 # closed forms of int |x| exp(-|x|^2) dx and int |x|^3 exp(-|x|^2) dx on R^d
@@ -122,6 +122,11 @@ class Grid:
     @cached_property
     def center_index(self) -> tuple:
         return (self.n // 2,) * self.dim
+
+    @cached_property
+    def fh_half_weight(self) -> np.ndarray:
+        """Quadrature weight of fh_half_norm: its square is sum q |f|^2."""
+        return _fh_half_weight(self)
 
 
 def make_grid(dim: int, n: int, half_width: float) -> Grid:
@@ -219,19 +224,53 @@ def weighted_lp_norm(f: Field, s: float, r: float) -> float:
     return float((np.sum(a ** r) * f.grid.dvol) ** (1.0 / r))
 
 
-def _interpolate(spec: np.ndarray, axes: tuple, p: int) -> np.ndarray:
-    """Inverse FFT along `axes` (consecutive) of a spectrum zero-padded to p
-    times its length on each of them: trigonometric interpolation onto a
-    p-times finer lattice, up to the factor p per axis.  The Nyquist mode is
-    not split; it stays on the negative side, so callers must pass
-    well-resolved data (negligible energy at the band edge)."""
-    n = spec.shape[axes[0]]
+def _fh_half_weight(grid: Grid) -> np.ndarray:
+    """The weight q with fh_half_norm(f)^2 = sum q |f|^2.
+
+    The cusp-corrected rule is linear in g = |f|^2: interpolate g spectrally
+    onto a 3x finer lattice (zero-padded spectrum, Nyquist mode on the
+    negative side), subtract the Gaussians (alpha + beta |x|^2) e^{-|x|^2/sig^2}
+    whose alpha and beta match the value and Laplacian of g at the center,
+    sum |x| times the smooth remainder there, and add back the Gaussians'
+    weighted integrals in closed form.  q is the adjoint of those steps: the
+    fine-lattice |x| transformed and restricted to the coarse band, plus the
+    center terms that alpha and beta contribute.  The forward transform runs
+    over axes 1..d-1 on slabs of at most _SLAB_POINTS fine points and over
+    axis 0 last, so in 3D the fine lattice is never built.
+    """
+    d, n, p = grid.dim, grid.n, 3
     m = p * n
-    out = np.zeros([m if ax in axes else size for ax, size in enumerate(spec.shape)],
-                   dtype=np.complex128)
-    idx = np.r_[0:n // 2, m - n // 2:m]
-    out[(slice(None),) * axes[0] + np.ix_(*[idx] * len(axes))] = spec
-    return sfft.ifftn(out, axes=axes, workers=_workers(out), overwrite_x=True)
+    dxf = grid.dx / p
+    xf = -grid.half_width + dxf * np.arange(m)
+    # subtraction width: keep the correction Gaussian inside the box
+    sig = min(1.0, grid.half_width / 6.0)
+    band = np.r_[0:n // 2, m - n // 2:m]
+    inner_band = (slice(None),) + np.ix_(*[band] * (d - 1))
+    planes = max(1, _SLAB_POINTS // m ** (d - 1))
+    partial = np.empty((m,) + (n,) * (d - 1), dtype=np.complex128)
+    gauss_1 = gauss_3 = 0.0  # fine-lattice sums of r e^{-r^2/sig^2}, r^3 e^{-r^2/sig^2}
+    for i in range(0, m, planes):
+        mesh = np.meshgrid(xf[i:i + planes], *([xf] * (d - 1)), indexing="ij", sparse=True)
+        r2f = sum(a ** 2 for a in mesh)
+        rf = np.sqrt(r2f)
+        h = rf * np.exp(-r2f / sig ** 2)
+        gauss_1 += float(np.sum(h))
+        gauss_3 += float(np.sum(h * r2f))
+        if d > 1:
+            rf = sfft.fftn(rf, axes=tuple(range(1, d)), workers=_workers(rf))[inner_band]
+        partial[i:i + planes] = rf
+    spec = sfft.fftn(partial, axes=(0,), workers=_workers(partial), overwrite_x=True)[band]
+    spec *= dxf ** d
+    a = sig ** (d + 1) * _WEIGHT_GAUSS_1[d] - dxf ** d * gauss_1
+    b = sig ** (d + 3) * _WEIGHT_GAUSS_3[d] - dxf ** d * gauss_3
+    center = np.zeros(grid.shape)
+    center[grid.center_index] = 1.0
+    spec -= b / (2.0 * d) * grid.k2 * sfft.fftn(center, workers=_workers(center))
+    q = np.real(sfft.ifftn(spec, workers=_workers(spec)))
+    q[grid.center_index] += a + b / sig ** 2
+    if not np.all(q > 0):
+        raise ValueError(f"fh_half_norm quadrature weight is not positive on {grid}")
+    return q
 
 
 def fh_half_norm(f: Field) -> float:
@@ -239,54 +278,10 @@ def fh_half_norm(f: Field) -> float:
 
     The integrand |x| |f|^2 has a conical point at the box center which caps
     the plain rectangle rule at ~1e-3 relative accuracy on desk-scale grids.
-    We subtract Gaussians matching the value and Laplacian of g = |f|^2 at
-    the center (whose weighted integrals are known in closed form) and sum
-    the smooth remainder on a 3x spectrally refined lattice.  The refinement
-    is separable: axis 0 is interpolated on the whole array, the other axes
-    on slabs of at most _SLAB_POINTS fine points, so in 3D the full fine
-    lattice is never built.
+    The corrected rule (see _fh_half_weight) is linear in |f|^2, so the norm
+    is one weighted sum against the grid's weight, built on first use.
     """
-    g = np.abs(f.values) ** 2
-    grid = f.grid
-    d = grid.dim
-    total = float(np.sum(g) * grid.dvol)
-    if total == 0.0:
-        return 0.0
-
-    ghat = sfft.fftn(g, workers=_workers(g))
-    lap_g = np.real(sfft.ifftn(-grid.k2 * ghat, workers=_workers(ghat)))
-    g0 = float(g[grid.center_index])
-    lap0 = float(lap_g[grid.center_index])
-
-    # subtraction width: keep the correction Gaussian inside the box
-    sig = min(1.0, grid.half_width / 6.0)
-    alpha = g0
-    beta = g0 / sig ** 2 + lap0 / (2.0 * d)
-
-    p = 3
-    m = grid.n * p
-    dxf = grid.dx / p
-    xf = -grid.half_width + dxf * np.arange(m)
-    partial = _interpolate(ghat, (0,), p)  # fine along axis 0, spectral along the rest
-    planes = max(1, _SLAB_POINTS // m ** (d - 1))
-    resid = 0.0
-    for i in range(0, m, planes):
-        gf = partial[i:i + planes]
-        if d > 1:
-            gf = _interpolate(gf, tuple(range(1, d)), p)
-        gf = np.real(gf) * p ** d
-        mesh = np.meshgrid(xf[i:i + planes], *([xf] * (d - 1)), indexing="ij", sparse=True)
-        r2f = sum(a ** 2 for a in mesh)
-        h = (alpha + beta * r2f) * np.exp(-r2f / sig ** 2)
-        resid += float(np.sum(np.sqrt(r2f) * (gf - h)))
-    resid *= dxf ** d
-    exact = (
-        alpha * sig ** (d + 1) * _WEIGHT_GAUSS_1[d]
-        + beta * sig ** (d + 3) * _WEIGHT_GAUSS_3[d]
-    )
-    val = resid + exact
-    # correction can undershoot zero by roundoff for tiny fields
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.sqrt(np.sum(f.grid.fh_half_weight * np.abs(f.values) ** 2)))
 
 
 def sobolev_seminorm(f: Field, s: float) -> float:
@@ -313,11 +308,11 @@ def quadratic_phase(grid: Grid, m: float, t: float) -> np.ndarray:
 def x_norm(f: Field, t: float, spec: NormSpec) -> float:
     """|t|^s || |nabla|^s ( exp(-i m |x|^2/(2t)) f ) ||_{L^r}.
 
-    Rejects t = 0; at t = 0 the time-dependent norm degenerates to the
-    |x|^s-weighted L^r norm of the profile (use weighted_lp_norm there).
+    At t = 0 it returns the t -> 0 limit m^s || |x|^s f ||_{L^r}: the
+    operator |t|^s |nabla|^s e^{-i m |x|^2/(2t)} tends to |m x|^s.
     """
     if t == 0:
-        raise ValueError("x_norm requires t != 0")
+        return spec.m ** spec.s * weighted_lp_norm(f, spec.s, spec.r)
     g = quadratic_phase(f.grid, -spec.m, t) * f.values
     if spec.s > 0:
         ghat = fftn(g)

@@ -9,7 +9,7 @@ are exact unit-modulus phase multipliers for frequencies on the dual lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,20 +22,6 @@ def _is_dyadic(x: float) -> bool:
         return False
     m = math.log2(x)
     return abs(m - round(m)) < 1e-12
-
-
-@dataclass
-class Deformation:
-    """Group element acting on data pairs: dilation by a dyadic scale h
-    followed by a Fourier translation by xi (a dual-lattice vector)."""
-
-    xi: np.ndarray
-    h: float = 1.0
-
-    def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=float)
-        if not _is_dyadic(self.h):
-            raise ValueError(f"scale h must be a power of two, got {self.h}")
 
 
 def _lattice_check(grid: Grid, xi: np.ndarray):
@@ -78,15 +64,6 @@ def galilean_boost(pair, xi):
     xdot = sum(a * c for a, c in zip(grid.axes, xi))
     ph = np.exp(1j * xdot)
     return Field(grid, ph * f.values), Field(grid, ph * ph * g.values)
-
-
-def apply_deformation(pair, d: Deformation):
-    """Dilation first, then boost (the boost frequency is interpreted on
-    the dilated grid)."""
-    out = scale_data(pair, d.h) if d.h != 1.0 else pair
-    if np.any(d.xi != 0.0):
-        out = galilean_boost(out, d.xi)
-    return out
 
 
 def spectral_translate(f: Field, shift) -> Field:

@@ -9,7 +9,6 @@ carries a ``heuristic`` marker for that reason.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,7 +202,6 @@ def bisect_threshold(
     cfg: SolverConfig,
     max_bisections: int = 8,
     classifier: ClassifierConfig | None = None,
-    analytic_bounds: bool = True,
 ) -> ThresholdEstimate:
     """Bisection on the amplitude along a fixed shape direction.
 
@@ -247,12 +245,11 @@ def bisect_threshold(
             if hi - mid < 1e-3 * hi:
                 break
 
-    bounds = _attach_bounds(v0) if analytic_bounds else []
     return ThresholdEstimate(
         ell_lower=lo,
         ell_upper=hi,
         runs=runs,
-        analytic_bounds=bounds,
+        analytic_bounds=_attach_bounds(v0),
         flagged=flagged,
     )
 
@@ -262,31 +259,21 @@ def scan_L_curve(
     shapes,
     ell_grid,
     cfg: SolverConfig,
-    classifier: ClassifierConfig | None = None,
-    max_workers: int = 4,
 ) -> LCurve:
     """For each amplitude, the largest final W-type proxy norm over the
     shape family (completed runs only); blowups clear the saturated flag,
     standing in for an infinite supremum."""
     shapes = [normalize_shape(s) for s in shapes]
-
-    def one_run(args):
-        ell, shape = args
-        u0 = Field(shape.grid, ell * shape.values)
-        _, series, outcome = evolve(State(u0, v0.copy(), 0.0), cfg)
-        proxy = series.final_w_proxy("u") + series.final_w_proxy("v")
-        return outcome, proxy
-
-    jobs = [(ell, shape) for ell in ell_grid for shape in shapes]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(one_run, jobs))
-
     L_values, saturated = [], []
-    nshapes = len(shapes)
-    for i, ell in enumerate(ell_grid):
-        chunk = results[i * nshapes : (i + 1) * nshapes]
-        ok = [p for (out, p) in chunk if not out.blew_up]
-        blew = any(out.blew_up for (out, _) in chunk)
+    for ell in ell_grid:
+        ok, blew = [], False
+        for shape in shapes:
+            u0 = Field(shape.grid, ell * shape.values)
+            _, series, outcome = evolve(State(u0, v0.copy(), 0.0), cfg)
+            if outcome.blew_up:
+                blew = True
+            else:
+                ok.append(series.final_w_proxy("u") + series.final_w_proxy("v"))
         L_values.append(max(ok) if ok else float("nan"))
         saturated.append(not blew)
     return LCurve(list(map(float, ell_grid)), L_values, saturated)

@@ -253,7 +253,7 @@ def test_11_threshold_consistency(gs24_w2):
     bound = fired[0].bound_value
     assert est.ell_lower <= bound * 1.05
 
-    lc = scan_L_curve(v0, [shape], [0.0, 0.25, 0.5, 1.0, 2.0], cfg, max_workers=4)
+    lc = scan_L_curve(v0, [shape], [0.0, 0.25, 0.5, 1.0, 2.0], cfg)
     finite = [x for x in lc.L_values if np.isfinite(x)]
     assert all(b >= a - 1e-9 for a, b in zip(finite, finite[1:])), "L-curve decreasing"
     unsat = [ell for ell, sat in zip(lc.ell_values, lc.saturated) if not sat]

@@ -101,11 +101,11 @@ def test_traced_bounds_solves_one_angle(tmp_path):
     norm_calls = 2 + (reports["EnergySign"]["bound_value"] is not None)
     assert metrics["spectral.fh_half_norm.calls"] == norm_calls
 
-    # each norm: g and its Laplacian, axis 0 on the whole array, then one
-    # transform per slab of fine x-planes
+    # the first norm builds the grid's weight: one transform per slab of fine
+    # x-planes, then axis 0, the center's Laplacian and the inverse; the
+    # later norms on that grid are weighted sums with no transform
     m = 3 * cfg["grid"]["n"]
     planes = max(1, spectral._SLAB_POINTS // m ** 2)
     norms = [i for i, span in enumerate(spans) if span[0] == "spectral.fh_half_norm"]
-    for i in norms:
-        ffts = sum(span[0] == "spectral.fft" and span[3] == i for span in spans)
-        assert ffts == 3 + math.ceil(m / planes)
+    ffts = [sum(span[0] == "spectral.fft" and span[3] == i for span in spans) for i in norms]
+    assert ffts == [3 + math.ceil(m / planes)] + [0] * (len(norms) - 1)

@@ -22,7 +22,15 @@ from nls2lab.dynamics import (
     write_state,
 )
 from nls2lab.observables import mass
-from nls2lab.spectral import Field, lp_norm, make_grid, sobolev_seminorm, zeros
+from nls2lab.spectral import (
+    Field,
+    NormSpec,
+    lp_norm,
+    make_grid,
+    sobolev_seminorm,
+    x_norm,
+    zeros,
+)
 
 
 class TestLinearStep:
@@ -52,6 +60,19 @@ class TestLinearStep:
         v = linear_step(gaussian(g, width=1.0), t, 0.5)
         exact_v = free_gaussian(0.5, t, g.r2, dispersion=0.5)
         assert np.max(np.abs(v.values - exact_v)) < 1e-8
+
+    @pytest.mark.parametrize("a,m", [(1.0, 0.5), (0.5, 1.0)], ids=["u", "v"])
+    def test_x_norm_continuous_at_t0(self, a, m):
+        # pseudo-conformal identity: J = x + (it/m) grad commutes with the free
+        # flow e^{it Delta/(2m)}, so the X norm of a free solution is constant
+        # in t, and x_norm at t = 0 must be its t -> 0 limit.  Measured 1.0013
+        # (u) and 1.0014 (v) at t = 0.5; the plain |x|^(1/2) norm at t = 0
+        # would make the u ratio sqrt(2).
+        g = make_grid(3, 48, 12.0)
+        f = gaussian(g, width=1.0)
+        spec = NormSpec(s=0.5, r=2.0, m=m)
+        ratio = x_norm(linear_step(f, 0.5, a), 0.5, spec) / x_norm(f, 0.0, spec)
+        assert ratio == pytest.approx(1.0, abs=1e-2)
 
     def test_rejects_other_coefficients(self):
         g = make_grid(1, 16, 1.0)

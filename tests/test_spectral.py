@@ -155,6 +155,7 @@ class TestNorms:
         assert fh_half_norm(f) == pytest.approx(dense_fh_half_norm(f), rel=1e-14)
 
     def test_fh_half_memory_below_one_fine_array(self):
+        # a fresh grid: the first norm on it builds the weight
         n = 48
         f = boosted_gaussian(make_grid(3, n, 6.0))
         fine_array_bytes = (3 * n) ** 3 * 16  # 45.6 MiB of complex128
@@ -181,16 +182,30 @@ class TestNorms:
         fh_half_norm(boosted_gaussian(make_grid(3, n, 6.0)))
         assert {name for name, _ in calls} == {"fftn", "ifftn"}
         assert max(size for _, size in calls) < (3 * n) ** 3
-        # g and its Laplacian, axis 0 on the whole array, then one per slab
+        # the weight build on the fresh grid: one transform per slab of fine
+        # x-planes, axis 0 on the coarse-band partial, the center's Laplacian
+        # and the inverse transform
         planes = spectral._SLAB_POINTS // (3 * n) ** 2
         assert len(calls) == 3 + math.ceil(3 * n / planes)
 
-    def test_x_norm_rejects_t0_and_s0_reduces_to_lp(self):
+    def test_fh_half_weight_built_once_per_grid(self, monkeypatch):
+        g = make_grid(3, 16, 6.0)
+        f = boosted_gaussian(g)
+        first = fh_half_norm(f)
+        calls = []
+        for name in SCIPY_TRANSFORMS:
+            monkeypatch.setattr(scipy.fft, name, lambda *a, name=name, **k: calls.append(name))
+        assert fh_half_norm(Field(g, 2.0 * f.values)) == pytest.approx(2.0 * first, rel=1e-15)
+        assert calls == []
+
+    def test_x_norm_t0_limit_and_s0_reduces_to_lp(self):
         g = make_grid(3, 24, 6.0)
         f = gaussian(g)
         spec = NormSpec(s=0.5, r=18.0 / 7.0, m=0.5)
-        with pytest.raises(ValueError):
-            x_norm(f, 0.0, spec)
+        # at t = 0 the m^s-scaled |x|^s-weighted norm, the t -> 0 limit
+        assert x_norm(f, 0.0, spec) == pytest.approx(
+            0.5 ** 0.5 * weighted_lp_norm(f, 0.5, 18.0 / 7.0), rel=1e-15
+        )
         spec0 = NormSpec(s=0.0, r=3.0, m=1.0)
         # with s=0 the quadratic phase is unimodular: plain L^r norm
         assert x_norm(f, 0.7, spec0) == pytest.approx(lp_norm(f, 3.0), rel=1e-12)

@@ -8,8 +8,6 @@ from nls2lab.dynamics import SolverConfig, State, linear_step
 from nls2lab.observables import energy, mass
 from nls2lab.spectral import Field, fh_half_norm, make_grid
 from nls2lab.symmetry import (
-    Deformation,
-    apply_deformation,
     boost_evolved_state,
     check_equivariance,
     galilean_boost,
@@ -123,15 +121,11 @@ class TestBoostIdentity:
 
 
 class TestDeformation:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Deformation(xi=[0.0, 0.0, 0.0], h=3.0)
-
     def test_apply_composes(self):
+        # dilation first, then a boost on the dilated grid's dual lattice
         g = make_grid(3, 16, 4.0)
         pair = (gaussian(g, 0.4), gaussian(g, 0.3))
-        d = Deformation(xi=[np.pi / 2.0, 0.0, 0.0], h=2.0)
-        du, dv = apply_deformation(pair, d)
+        du, dv = galilean_boost(scale_data(pair, 2.0), [np.pi / 2.0, 0.0, 0.0])
         assert du.grid.half_width == pytest.approx(2.0)
         # modulus unchanged by the boost, scaled by h^2 by the dilation
         assert np.allclose(np.abs(du.values), 4.0 * np.abs(pair[0].values))

@@ -154,10 +154,7 @@ class TestBisect:
             bisect_threshold(gs24_w2.Q2, shape, 1.0, 0.5, cfg)
         # a_lo that traps (NonScatter) invalidates the lower endpoint
         with pytest.raises(BracketInvalidError, match="did not scatter"):
-            bisect_threshold(
-                gs24_w2.Q2, shape, 1.0, 2.0, cfg, max_bisections=0,
-                analytic_bounds=False,
-            )
+            bisect_threshold(gs24_w2.Q2, shape, 1.0, 2.0, cfg, max_bisections=0)
 
     def test_undecided_upper_endpoint_named(self, monkeypatch):
         import nls2lab.threshold as threshold
@@ -170,9 +167,7 @@ class TestBisect:
         g = make_grid(3, 16, 6.0)
         cfg = SolverConfig(dt=1e-2, t_end=0.1)
         with pytest.raises(BracketInvalidError, match="verdict Undecided") as err:
-            threshold.bisect_threshold(
-                zeros(g), gaussian(g, 1.0), 0.0, 1.0, cfg, analytic_bounds=False
-            )
+            threshold.bisect_threshold(zeros(g), gaussian(g, 1.0), 0.0, 1.0, cfg)
         assert "still scatters" not in str(err.value)
 
 
@@ -182,6 +177,6 @@ class TestLCurve:
         g = v0.grid
         shape = gaussian(g, 1.0)
         cfg = SolverConfig(dt=5e-3, t_end=2.0, record_every=10)
-        lc = scan_L_curve(v0, [shape], [0.0, 0.5, 2.0], cfg, max_workers=3)
+        lc = scan_L_curve(v0, [shape], [0.0, 0.5, 2.0], cfg)
         assert lc.saturated == [True, True, True]
         assert lc.L_values[0] < lc.L_values[1] < lc.L_values[2]
