@@ -100,7 +100,7 @@ def _file(grid, role, path):
     f = read_field(path)
     if f.grid != grid:
         raise ValueError(f"field file {path} has a mismatched grid")
-    return f
+    return Field(grid, f.values)
 
 
 # data family: (builder, key table); the builder's signature holds the defaults
@@ -129,9 +129,6 @@ def build_data(desc: dict, grid: Grid, role: str = "u") -> Field:
     return _FAMILIES[keys.pop("family")][0](grid, role, **keys)
 
 
-_CLASSIFIER = _block("classifier", dict.fromkeys(
-    ("r_scatter", "r_grow", "plateau_floor", "zero_level"), float))
-
 # each task's keys besides "name"; the task passes them on to its library call
 _TASK_KEYS = {
     "simulate": {},
@@ -140,8 +137,7 @@ _TASK_KEYS = {
               "tol": float},
     "bounds": {"n_angles": int, "c_list": _floats},
     "threshold": {"shape": _Required(_descriptor), "a_lo": _Required(float),
-                  "a_hi": _Required(float), "max_bisections": int,
-                  "classifier": lambda b: threshold.ClassifierConfig(**_CLASSIFIER(b))},
+                  "a_hi": _Required(float), "max_bisections": int},
     "symmetry-check": {"xi": _Required(_floats), "t_final": _Required(float)},
 }
 
@@ -188,7 +184,7 @@ def _config(name):
     return _block("config", {
         "seed": int,
         "grid": _Required(_GRID),
-        "solver": need("solver", _SOLVER),
+        "solver": need("solver", lambda b: dynamics.SolverConfig(**_SOLVER(b))),
         "data": _Required(data) if {"u0", "v0"} & set(inputs) else data,
         "task": _Required(_task),
     })
@@ -205,8 +201,8 @@ def _write_summary(run_dir: Path, payload: dict):
 def _task_simulate(config, grid, run_dir):
     u0 = build_data(config["data"]["u0"], grid, "u")
     v0 = build_data(config["data"]["v0"], grid, "v")
-    cfg = dynamics.SolverConfig(**config["solver"])
-    final, series, outcome = dynamics.evolve(dynamics.State(u0, v0, 0.0), cfg)
+    final, series, outcome = dynamics.evolve(dynamics.State(u0, v0, 0.0),
+                                             config["solver"])
     series.to_csv(run_dir / "series.csv")
     series.to_json(run_dir / "series.json")
     dynamics.write_state(run_dir / "final_state.nls2", final)
@@ -267,7 +263,7 @@ def _task_threshold(config, grid, run_dir):
     est = threshold.bisect_threshold(
         build_data(config["data"]["v0"], grid, "v"),
         build_data(shape, grid, "u"),
-        cfg=dynamics.SolverConfig(**config["solver"]),
+        cfg=config["solver"],
         **keys,
     )
     result = {**est.to_dict(), "v0_descriptor": config["data"]["v0"],
@@ -280,8 +276,8 @@ def _task_symmetry(config, grid, run_dir):
     task = config["task"]
     u0 = build_data(config["data"]["u0"], grid, "u")
     v0 = build_data(config["data"]["v0"], grid, "v")
-    cfg = dynamics.SolverConfig(**config["solver"])
-    disc = check_equivariance((u0, v0), task["xi"], task["t_final"], cfg)
+    disc = check_equivariance((u0, v0), task["xi"], task["t_final"],
+                              config["solver"])
     return {"xi": task["xi"], "t_final": task["t_final"], "discrepancy": disc}
 
 

@@ -47,6 +47,8 @@ class BoundReport:
 # witness energy of eigenvalue_bound and large_data_bound's square-root identity
 _WITNESS_ENERGY_TOL = 1e-8
 _SQRT_IDENTITY_TOL = 1e-10
+# outer iterations of lowest_eigenpair's inverse iteration
+_EIGEN_MAX_ITER = 60
 
 
 def _l2(values: np.ndarray, dvol: float) -> float:
@@ -58,9 +60,7 @@ def _potential(v0: Field, theta: float) -> np.ndarray:
     return -2.0 * np.real(np.exp(1j * theta) * v0.values)
 
 
-def lowest_eigenpair(
-    v0: Field, theta: float, tol: float = 1e-10, max_iter: int = 60
-) -> EigenResult:
+def lowest_eigenpair(v0: Field, theta: float, tol: float = 1e-10) -> EigenResult:
     """Lowest eigenpair of H = -Delta - 2 Re(e^{i theta} v0).
 
     Inverse-shifted iteration: repeatedly solve (H - sigma) w = phi with CG,
@@ -92,9 +92,7 @@ def lowest_eigenpair(
     phi = np.exp(-r2).ravel()
     phi /= _l2(phi, dvol)
 
-    rho = float(np.dot(phi, apply_h(phi)) * dvol)
-    resid = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EIGEN_MAX_ITER + 1):
         shift = sigma
 
         def matvec(w, s=shift):
@@ -126,7 +124,8 @@ def lowest_eigenpair(
             sigma = rho - 2.0 * resid
     else:
         raise NoConvergenceError(
-            f"eigen residual {resid:.3e} above tol {tol} after {max_iter} iterations"
+            f"eigen residual {resid:.3e} above tol {tol} "
+            f"after {_EIGEN_MAX_ITER} iterations"
         )
 
     # phase fix: real, positive at its maximum modulus

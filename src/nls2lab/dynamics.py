@@ -77,6 +77,9 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        for name in ("blowup_linf_factor", "blowup_hs_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -185,6 +188,7 @@ def linear_step(f: Field, dt: float, a: float) -> Field:
     return Field(f.grid, _apply_multiplier(_phase(f.grid, a, dt), f.values))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # callers check finiteness
 def _rk4(u: np.ndarray, v: np.ndarray, dt: float, bufs) -> tuple:
     """One RK4 step of du/dt = 2i v conj(u), dv/dt = i u^2 from (u, v),
     computed in the six same-shape complex arrays `bufs` without allocating.
@@ -330,21 +334,24 @@ def evolve(state: State, cfg: SolverConfig):
     """March the state to t_end, recording diagnostics every record_every
     steps.  Returns (final_state, DiagnosticSeries, Outcome); crossing a
     blowup threshold (see blowup_limits) is an early Completed-with-Blowup
-    outcome, not an error.  The initial sizes and the per-record H^1 check
-    come from the diagnostic records.  (t_end - t)/dt must be a whole
-    number of steps.
+    outcome, not an error.  The initial sizes and the per-record sup-norm
+    and H^1 checks come from the diagnostic records.  (t_end - t)/dt must be
+    a whole number of steps, and not negative.
 
     The steps are fused (see _StepKernel): the loop carries the state half
     a linear step ahead, so a step costs 4 FFTs, and the true state is
     recovered (2 FFTs) only for a record, a blowup candidate and the final
     state.  The sup-norm of the shifted iterate is checked every step, but
     a crossing only makes the step a candidate: blowup is decided on the
-    true state's sup-norm.  A substep that overflows is caught before its
-    FFTs; the previous true state is then recovered by undoing the
-    half-step of the retained iterate.
+    true state's sup-norm.  As each record also checks its own sup-norm, a
+    true state above the limit is flagged at the next record at the latest.
+    A substep that overflows is caught before its FFTs; the previous true
+    state is then recovered by undoing the half-step of the retained iterate.
     """
     ratio = (cfg.t_end - state.t) / cfg.dt
     nsteps = round(ratio)
+    if nsteps < 0:
+        raise ValueError(f"t_end {cfg.t_end!r} is before the state's t {state.t!r}")
     if abs(ratio - nsteps) > 1e-9 * max(abs(ratio), 1.0):
         raise ValueError(
             f"(t_end - t)/dt = {ratio!r} is not a whole number of steps"
@@ -379,7 +386,7 @@ def evolve(state: State, cfg: SolverConfig):
             u, v = true if true is not None else kern.true_values()
             out = State(Field(grid, u), Field(grid, v), t)
             rep = series.append(out)
-            if crossed or rep.h1_size > blowup_hs:
+            if series["linf"][-1] > blowup_linf or rep.h1_size > blowup_hs:
                 return out, series, Outcome("blowup", t)
 
     if out is None:  # no steps taken

@@ -23,16 +23,13 @@ NONSCATTER = "NonScatter"
 UNDECIDED = "Undecided"
 
 
-@dataclass
-class ClassifierConfig:
-    """Tail-decay classifier constants (all tunable; the defaults come from
-    the splitting-order convergence study, not from any analytic source)."""
-
-    r_scatter: float = 0.5  # per-unit-time increment decay ratio below which
-    # an accumulator counts as saturating
-    r_grow: float = 0.9  # ratio above which it counts as plateau/growth
-    plateau_floor: float = 0.01  # minimum tail fraction for a NonScatter call
-    zero_level: float = 1e-28  # accumulators below this are identically zero
+# Tail-decay classifier constants.  They come from the splitting-order
+# convergence study, not from any analytic source.
+R_SCATTER = 0.5  # per-unit-time increment decay ratio below which an
+# accumulator counts as saturating
+R_GROW = 0.9  # ratio above which it counts as plateau/growth
+PLATEAU_FLOOR = 0.01  # minimum tail fraction for a NonScatter call
+ZERO_LEVEL = 1e-28  # accumulators below this are identically zero
 
 
 @dataclass
@@ -87,9 +84,9 @@ class LCurve:
         }
 
 
-def _accumulator_verdict(times, accum, cfg: ClassifierConfig):
+def _accumulator_verdict(times, accum):
     total = accum[-1]
-    if total < cfg.zero_level:
+    if total < ZERO_LEVEL:
         return SCATTERS, {"rate": None, "tail_fraction": 0.0}
     t0, t1 = times[0], times[-1]
     tmid = 0.5 * (t0 + t1)
@@ -112,9 +109,9 @@ def _accumulator_verdict(times, accum, cfg: ClassifierConfig):
     slope = np.polyfit(ts, np.log(ds), 1)[0]
     ratio = float(np.exp(slope))
     ev = {"rate": ratio, "tail_fraction": tail_fraction}
-    if ratio <= cfg.r_scatter:
+    if ratio <= R_SCATTER:
         return SCATTERS, ev
-    if tail_fraction > cfg.plateau_floor and ratio >= cfg.r_grow:
+    if tail_fraction > PLATEAU_FLOOR and ratio >= R_GROW:
         return NONSCATTER, ev
     return UNDECIDED, ev
 
@@ -127,32 +124,24 @@ def _combine(verdicts):
     return UNDECIDED
 
 
-def classify_run(
-    series: DiagnosticSeries, outcome: Outcome, cfg: ClassifierConfig | None = None
-) -> RunVerdict:
+def classify_run(series: DiagnosticSeries, outcome: Outcome) -> RunVerdict:
     """Heuristic scattering verdict for one completed (or blown-up) run.
 
     Blowup is NonScatter outright.  Otherwise each space-time accumulator's
     last-half increments are fitted for a per-unit-time decay ratio;
     saturating accumulators vote Scatters, plateau/growth votes NonScatter,
     and anything in between stays Undecided."""
-    cfg = cfg or ClassifierConfig()
     if outcome.blew_up:
         ev = {"blowup": True, "t_blowup": outcome.t}
         return RunVerdict(NONSCATTER, NONSCATTER, NONSCATTER, ev)
     t = series["t"]
-    vu_s, ev_su = _accumulator_verdict(t, series["s_accum_u"], cfg)
-    vu_w, ev_wu = _accumulator_verdict(t, series["w_accum_u"], cfg)
-    vv_s, ev_sv = _accumulator_verdict(t, series["s_accum_v"], cfg)
-    vv_w, ev_wv = _accumulator_verdict(t, series["w_accum_v"], cfg)
+    vu_s, ev_su = _accumulator_verdict(t, series["s_accum_u"])
+    vu_w, ev_wu = _accumulator_verdict(t, series["w_accum_u"])
+    vv_s, ev_sv = _accumulator_verdict(t, series["s_accum_v"])
+    vv_w, ev_wv = _accumulator_verdict(t, series["w_accum_v"])
     verdict_u = _combine([vu_s, vu_w])
     verdict_v = _combine([vv_s, vv_w])
-    if verdict_u == SCATTERS and verdict_v == SCATTERS:
-        verdict = SCATTERS
-    elif NONSCATTER in (verdict_u, verdict_v):
-        verdict = NONSCATTER
-    else:
-        verdict = UNDECIDED
+    verdict = _combine([verdict_u, verdict_v])
     evidence = {
         "blowup": False,
         "s_u": ev_su,
@@ -166,14 +155,9 @@ def classify_run(
     return RunVerdict(verdict, verdict_u, verdict_v, evidence)
 
 
-def run_and_classify(
-    u0: Field,
-    v0: Field,
-    cfg: SolverConfig,
-    classifier: ClassifierConfig | None = None,
-):
+def run_and_classify(u0: Field, v0: Field, cfg: SolverConfig):
     final, series, outcome = evolve(State(u0.copy(), v0.copy(), 0.0), cfg)
-    verdict = classify_run(series, outcome, classifier)
+    verdict = classify_run(series, outcome)
     return verdict, series, outcome
 
 
@@ -201,7 +185,6 @@ def bisect_threshold(
     a_hi: float,
     cfg: SolverConfig,
     max_bisections: int = 8,
-    classifier: ClassifierConfig | None = None,
 ) -> ThresholdEstimate:
     """Bisection on the amplitude along a fixed shape direction.
 
@@ -216,7 +199,7 @@ def bisect_threshold(
 
     def probe(a):
         u0 = Field(shape.grid, a * shape.values)
-        verdict, _, _ = run_and_classify(u0, v0, cfg, classifier)
+        verdict, _, _ = run_and_classify(u0, v0, cfg)
         runs.append((float(a), verdict))
         return verdict.verdict
 

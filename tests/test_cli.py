@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from nls2lab import cli
-from nls2lab.errors import BracketInvalidError
-from nls2lab.spectral import make_grid, read_field, write_field, zeros
+from nls2lab import cli, spectral
+from nls2lab.dynamics import SolverConfig
+from nls2lab.spectral import fh_half_norm, make_grid, read_field, write_field, zeros
 
 
 def base_config(**overrides):
@@ -56,8 +56,6 @@ TASK_KEYS = {
         "a_lo": 0.0,
         "a_hi": 2.0,
         "max_bisections": 0,
-        "classifier": {"r_scatter": 0.5, "r_grow": 0.9, "plateau_floor": 0.01,
-                       "zero_level": 1e-28},
     },
     "symmetry-check": {"xi": [0.0, 0.0, 0.0], "t_final": 0.1},
 }
@@ -78,7 +76,8 @@ MISSPELT = {
     ),
     "file": ("simulate", ("data", "v0"), {"family": "file", "pth": "v0.nls2"}, "pth"),
     "shape": ("threshold", ("task", "shape", "widht"), 1.0, "widht"),
-    "classifier": ("threshold", ("task", "classifier", "r_scater"), 0.5, "r_scater"),
+    "classifier": ("threshold", ("task", "classifier"), {"zero_level": 1e-28},
+                   "classifier"),
     "task-simulate": ("simulate", ("task", "t_end"), 1.0, "t_end"),
     "task-groundstate": ("groundstate", ("task", "max_iters"), 50, "max_iters"),
     "task-eigen": ("eigen", ("task", "n_angle"), 4, "n_angle"),
@@ -87,6 +86,10 @@ MISSPELT = {
     "task-symmetry-check": ("symmetry-check", ("task", "t_fnal"), 0.1, "t_fnal"),
 }
 
+
+# one solver value that SolverConfig rejects per key it checks
+INVALID_SOLVER = {"dt": -0.01, "record_every": 0, "blowup_linf_factor": 0.0,
+                  "blowup_hs_factor": -1.0}
 
 # one required key per block, family and task: (task, path of the key)
 REQUIRED = {
@@ -162,10 +165,23 @@ class TestBuildData:
         p = tmp_path / "f.nls2"
         write_field(p, zeros(g))
         f = cli.build_data({"family": "file", "path": str(p)}, g)
-        assert f.grid == g
+        assert f.grid is g
         other = make_grid(3, 16, 4.0)
         with pytest.raises(ValueError, match="mismatched grid"):
             cli.build_data({"family": "file", "path": str(p)}, other)
+
+    def test_file_field_shares_the_weight_build(self, tmp_path, monkeypatch):
+        builds = []
+        build = spectral._fh_half_weight
+        monkeypatch.setattr(spectral, "_fh_half_weight",
+                            lambda grid: builds.append(grid) or build(grid))
+        p = tmp_path / "f.nls2"
+        write_field(p, cli.build_data({"family": "gaussian"}, make_grid(3, 16, 6.0)))
+        g = make_grid(3, 16, 6.0)
+        u0 = cli.build_data({"family": "gaussian", "width": 0.5}, g)
+        v0 = cli.build_data({"family": "file", "path": str(p)}, g)
+        assert fh_half_norm(u0) > 0.0 and fh_half_norm(v0) > 0.0
+        assert len(builds) == 1
 
     def test_vector_length_must_match_grid(self):
         g = make_grid(3, 16, 6.0)
@@ -282,21 +298,6 @@ class TestRun:
         assert runs[1]["evidence"]["blowup"]
         assert runs[1]["evidence"]["t_blowup"] == pytest.approx(cfg["solver"]["dt"])
 
-    def test_threshold_classifier_keys(self, tmp_path, capsys):
-        # zero_level above every accumulator makes the a_hi probe scatter
-        cfg = threshold_config(classifier={"zero_level": 1e300})
-        with pytest.raises(BracketInvalidError, match="still scatters"):
-            cli.run(cfg, tmp_path)
-        cfg_path = tmp_path / "typo.json"
-        cfg_path.write_text(json.dumps(threshold_config(classifier={"r_scater": 0.5})))
-        rc = cli.main(
-            ["threshold", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        )
-        assert rc == 1
-        err = json.loads(capsys.readouterr().out.strip())
-        assert err["error"] == "ValueError"
-        assert "r_scater" in err["message"]
-
     def test_symmetry_task(self, tmp_path):
         cfg = {
             "grid": {"dim": 3, "n": 32, "half_width": float(1.5 * np.pi)},
@@ -373,6 +374,22 @@ class TestMain:
         run_dir = cli.run(cfg, tmp_path)
         assert run_dir.name == f"{task}-{cli.config_hash(cfg)}"
         assert len(calls) == 1
+        assert isinstance(calls[0][0]["solver"], SolverConfig)
+
+    @pytest.mark.parametrize("key", INVALID_SOLVER)
+    def test_invalid_solver_value_rejected_before_any_work(self, key, tmp_path,
+                                                           capsys):
+        cfg = full_config("simulate")
+        cfg["solver"][key] = INVALID_SOLVER[key]
+        cfg_path = tmp_path / "invalid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().out.strip())
+        assert err["error"] == "ValueError"
+        assert key in err["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", REQUIRED.values(), ids=REQUIRED.keys())
     def test_missing_key_rejected_before_any_work(self, case, tmp_path, capsys,

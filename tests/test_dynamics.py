@@ -195,6 +195,32 @@ class TestEvolve:
         assert h1(fin) > 1.5 * h1(s)
         assert h1(prev) <= 1.5 * h1(s)
 
+    def test_record_sup_norm_checked(self):
+        # tiny free-flow data that refocuses at the record time T = 1: the
+        # shifted iterate sits half a step off the focus at every step, so
+        # its sup-norm stays below a limit that the true state at T passes
+        g = make_grid(3, 16, 6.0)
+        dt, nfocus = 0.1, 10
+        focus = Field(g, 1e-4 * np.exp(-g.r2 / 2.0))
+        u0 = linear_step(focus, -nfocus * dt, 1.0)
+
+        def sup(t):
+            return lp_norm(linear_step(u0, t, 1.0), np.inf)
+
+        shifted = max(sup((k + 0.5) * dt) for k in range(2 * nfocus + 1))
+        assert shifted < 0.995 * sup(nfocus * dt)
+        limit = 0.5 * (shifted + sup(nfocus * dt))
+        cfg = SolverConfig(
+            dt=dt, t_end=2 * nfocus * dt, record_every=nfocus // 2, dealias=False,
+            blowup_linf_factor=limit / lp_norm(u0, np.inf), blowup_hs_factor=np.inf,
+        )
+        _, series, out = evolve(State(u0, zeros(g), 0.0), cfg)
+        assert out.blew_up
+        assert out.t == pytest.approx(nfocus * dt)
+        assert series["t"] == pytest.approx([0.0, 0.5, 1.0])
+        assert series["linf"][-1] > limit
+
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_without_threshold_raises(self):
         g = make_grid(3, 16, 6.0)
         # huge dt makes RK4 overflow without any blowup threshold configured
@@ -223,6 +249,15 @@ class TestEvolve:
         with pytest.raises(ValueError, match="whole number"):
             evolve(s, SolverConfig(dt=3e-2, t_end=0.1))
 
+    def test_t_end_before_t_rejected(self):
+        g = make_grid(3, 16, 6.0)
+        s = State(gaussian(g, 0.1), gaussian(g, 0.1), 0.5)
+        for t_end in (-0.5, 0.4):
+            with pytest.raises(ValueError, match="before the state's t"):
+                evolve(s, SolverConfig(dt=1e-2, t_end=t_end))
+        fin, series, out = evolve(s, SolverConfig(dt=1e-2, t_end=0.5))
+        assert out.kind == "completed" and fin.t == 0.5 and series["t"] == [0.5]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.0, t_end=1.0)
@@ -230,6 +265,11 @@ class TestEvolve:
             SolverConfig(dt=0.1, t_end=1.0, substep_integrator="Euler")
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_end=1.0, record_every=0)
+        for name in ("blowup_linf_factor", "blowup_hs_factor"):
+            for bad in (0.0, -1.0, np.nan):
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(dt=0.1, t_end=1.0, **{name: bad})
+            SolverConfig(dt=0.1, t_end=1.0, **{name: np.inf})
 
 
 def unfused_strang(state, dt, dealias):
@@ -297,7 +337,7 @@ class TestFusedKernel:
             u, v = kern.true_values()
             assert close(u, states[k + 1].u.values) and close(v, states[k + 1].v.values), k
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflow_returns_the_previous_step(self):
         # amplitude 30 with dt = 10: the first step is finite (sup-norm
         # ~1e22) and the second overflows inside RK4.  A limit of 1.5x the

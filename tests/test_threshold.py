@@ -11,7 +11,6 @@ from nls2lab.threshold import (
     NONSCATTER,
     SCATTERS,
     UNDECIDED,
-    ClassifierConfig,
     classify_run,
     normalize_shape,
     run_and_classify,
@@ -94,16 +93,6 @@ class TestClassifyRun:
         assert v.verdict_v == NONSCATTER
         assert v.verdict == NONSCATTER  # Scatters needs both components
 
-    def test_tunable_constants(self):
-        integrand = np.exp(-0.5 * self.times)  # ratio 0.61
-        loose = ClassifierConfig(r_scatter=0.7)
-        v = classify_run(
-            synthetic_series(self.times, integrand),
-            Outcome("completed", 4.0),
-            loose,
-        )
-        assert v.verdict == SCATTERS
-
 
 class TestRunAndClassify:
     def test_tiny_data_scatters(self, grid24):
@@ -156,19 +145,30 @@ class TestBisect:
         with pytest.raises(BracketInvalidError, match="did not scatter"):
             bisect_threshold(gs24_w2.Q2, shape, 1.0, 2.0, cfg, max_bisections=0)
 
-    def test_undecided_upper_endpoint_named(self, monkeypatch):
+    @staticmethod
+    def bisect_with_upper_verdict(monkeypatch, upper):
+        """bisect_threshold on [0, 1] with probes stubbed: the zero-amplitude
+        probe scatters, every other probe gets the verdict `upper`."""
         import nls2lab.threshold as threshold
 
-        def stub(u0, v0, cfg, classifier=None):
-            verdict = SCATTERS if not np.any(u0.values) else UNDECIDED
+        def stub(u0, v0, cfg):
+            verdict = SCATTERS if not np.any(u0.values) else upper
             return threshold.RunVerdict(verdict, verdict, verdict), None, None
 
         monkeypatch.setattr(threshold, "run_and_classify", stub)
         g = make_grid(3, 16, 6.0)
         cfg = SolverConfig(dt=1e-2, t_end=0.1)
+        return threshold.bisect_threshold(zeros(g), gaussian(g, 1.0), 0.0, 1.0, cfg)
+
+    def test_undecided_upper_endpoint_named(self, monkeypatch):
         with pytest.raises(BracketInvalidError, match="verdict Undecided") as err:
-            threshold.bisect_threshold(zeros(g), gaussian(g, 1.0), 0.0, 1.0, cfg)
+            self.bisect_with_upper_verdict(monkeypatch, UNDECIDED)
         assert "still scatters" not in str(err.value)
+
+    def test_scattering_upper_endpoint_named(self, monkeypatch):
+        with pytest.raises(BracketInvalidError,
+                           match=r"upper endpoint 1\.0 still scatters \(verdict Scatters\)"):
+            self.bisect_with_upper_verdict(monkeypatch, SCATTERS)
 
 
 class TestLCurve:
