@@ -9,10 +9,11 @@ directory is made or any solve starts; the input blocks a task reads
 function the block goes to, so each default is written once.  README "Command line" lists every key.
 
 Tasks: simulate, groundstate, eigen, bounds, threshold, symmetry-check.
-Artifacts land in <out>/<task>-<config-hash>/ ; rerunning an identical
-config is a no-op once summary.json exists.  All floats are serialized at
-full round-trip precision and no timestamps are written, so identical
-configs produce byte-identical summaries.
+Artifacts land in <out>/<task>-<config-hash>/, which appears only once the
+task has finished; rerunning an identical config is a no-op once
+summary.json exists.  All floats are serialized at full round-trip
+precision and no timestamps are written, so identical configs produce
+byte-identical summaries.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import shutil
 import sys
+import tempfile
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import criterion, dynamics, groundstate, observables, threshold
-from .errors import NoNegativeEigenvalueError
 from .spectral import Field, Grid, make_grid, read_field, write_field, zeros
 from .symmetry import check_equivariance
 
@@ -190,14 +191,6 @@ def _config(name):
     })
 
 
-def _write_summary(run_dir: Path, payload: dict):
-    """Write summary.json atomically: it marks the run as finished, so a
-    payload that fails to serialize must leave no file behind."""
-    tmp = run_dir / "summary.json.tmp"
-    tmp.write_text(canonical_json(payload))
-    os.replace(tmp, run_dir / "summary.json")
-
-
 def _task_simulate(config, grid, run_dir):
     u0 = build_data(config["data"]["u0"], grid, "u")
     v0 = build_data(config["data"]["v0"], grid, "v")
@@ -241,17 +234,9 @@ def _task_bounds(config, grid, run_dir):
     keys = dict(config["task"])
     c_list = keys.pop("c_list", [1.0, 2.0, 4.0, 8.0, 16.0])
     v0 = build_data(config["data"]["v0"], grid, "v")
-    reports = []
-    u0 = None
-    try:
-        rep = criterion.eigenvalue_bound(v0, criterion.scan_theta(v0, **keys))
-        u0 = rep.witness_fields[0]
-        reports.append(rep)
-    except NoNegativeEigenvalueError as exc:
-        reports.append(criterion.BoundReport("Eigenvalue", None, {"reason": str(exc)}))
+    reports = [criterion.eigenvalue_report(v0, **keys)]
     if "u0" in config["data"]:
         u0 = build_data(config["data"]["u0"], grid, "u")
-    if u0 is not None:
         reports.append(criterion.energy_sign_bound(u0, v0))
     reports.extend(criterion.large_data_bound(v0, c_list))
     return {"reports": [r.to_dict() for r in reports]}
@@ -288,17 +273,28 @@ _TASKS = {"simulate": _task_simulate, "groundstate": _task_groundstate,
 
 def run(config: dict, out_dir) -> Path:
     """Execute the configured task; returns the run directory.  The task is
-    handed the checked config, after every block and the grid pass."""
+    handed the checked config, after every block and the grid pass, and a
+    hidden work directory that becomes the run directory once summary.json
+    is written in it; a task that raises leaves nothing behind."""
     name = config.get("task", {}).get("name")
     checked = _config(name)(config)
     grid = make_grid(**checked["grid"])
     h = config_hash(config)
-    run_dir = Path(out_dir) / f"{name}-{h}"
+    out = Path(out_dir)
+    run_dir = out / f"{name}-{h}"
     if (run_dir / "summary.json").exists():
         return run_dir  # identical config already ran; never overwrite
-    run_dir.mkdir(parents=True, exist_ok=True)
-    result = _TASKS[name](checked, grid, run_dir)
-    _write_summary(run_dir, {"config_hash": h, "task": name, "result": result})
+    out.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{name}-{h}.", dir=out))
+    try:
+        result = _TASKS[name](checked, grid, work)
+        payload = canonical_json({"config_hash": h, "task": name, "result": result})
+        (work / "summary.json").write_text(payload)
+        if run_dir.exists():  # no summary.json: an incomplete run
+            shutil.rmtree(run_dir)
+        work.rename(run_dir)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return run_dir
 
 

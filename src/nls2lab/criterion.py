@@ -207,6 +207,15 @@ def eigenvalue_bound(v0: Field, res: EigenResult) -> BoundReport:
     )
 
 
+def eigenvalue_report(v0: Field, n_angles: int = 16) -> BoundReport:
+    """The Eigenvalue report of a theta scan: the fired eigenvalue_bound, or
+    an unfired report with the reason when no angle has a negative eigenvalue."""
+    try:
+        return eigenvalue_bound(v0, scan_theta(v0, n_angles))
+    except NoNegativeEigenvalueError as exc:
+        return BoundReport("Eigenvalue", None, {"reason": str(exc)})
+
+
 def energy_sign_bound(u0: Field, v0: Field) -> BoundReport:
     """Nonpositive energy forces non-scattering; the u0 weighted norm is
     then an upper bound for the threshold."""
@@ -241,13 +250,14 @@ def large_data_bound(v0: Field, c_list) -> list:
         raise ValueError("large_data_bound requires v0 != 0")
     u0 = large_data_profile(v0)
     grid = v0.grid
-    v3 = lp_norm(v0, 3.0) ** 3
+    v0_l3 = lp_norm(v0, 3.0)
+    v3 = v0_l3 ** 3
     inter = float(np.real(np.sum(u0.values ** 2 * np.conj(v0.values))) * grid.dvol)
     if abs(inter - v3) > _SQRT_IDENTITY_TOL * max(v3, 1.0):
         raise RuntimeError(
             f"square-root identity violated: {inter:.12e} vs {v3:.12e}"
         )
-    d = sobolev_seminorm(v0, 1.0) / lp_norm(v0, 3.0) ** 1.5
+    d = sobolev_seminorm(v0, 1.0) / v0_l3 ** 1.5
     du0_fh = fh_half_norm(Field(grid, d * u0.values))
 
     reports = []

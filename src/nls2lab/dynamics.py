@@ -336,7 +336,8 @@ def evolve(state: State, cfg: SolverConfig):
     blowup threshold (see blowup_limits) is an early Completed-with-Blowup
     outcome, not an error.  The initial sizes and the per-record sup-norm
     and H^1 checks come from the diagnostic records.  (t_end - t)/dt must be
-    a whole number of steps, and not negative.
+    a whole number of steps, and not negative.  The input state is neither
+    modified nor shared with the returned one.
 
     The steps are fused (see _StepKernel): the loop carries the state half
     a linear step ahead, so a step costs 4 FFTs, and the true state is

@@ -98,7 +98,7 @@ def check_equivariance(data, xi, t_final: float, cfg: SolverConfig) -> float:
     cfg = replace(cfg, t_end=t_final, record_every=max(1, int(round(t_final / cfg.dt))))
     boosted = galilean_boost((u0, v0), xi)
     sA, _, outA = evolve(State(boosted[0], boosted[1], 0.0), cfg)
-    sB, _, outB = evolve(State(u0.copy(), v0.copy(), 0.0), cfg)
+    sB, _, outB = evolve(State(u0, v0, 0.0), cfg)
     if outA.blew_up or outB.blew_up:
         raise RuntimeError("equivariance check hit a blowup; reduce the data")
     expected = boost_evolved_state(sB, xi, sA.t)

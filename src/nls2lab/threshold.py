@@ -9,13 +9,13 @@ carries a ``heuristic`` marker for that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .criterion import eigenvalue_bound, scan_theta
+from .criterion import eigenvalue_report
 from .dynamics import DiagnosticSeries, Outcome, SolverConfig, State, evolve
-from .errors import BracketInvalidError, NoNegativeEigenvalueError
+from .errors import BracketInvalidError
 from .spectral import Field, fh_half_norm
 
 SCATTERS = "Scatters"
@@ -41,13 +41,7 @@ class RunVerdict:
     heuristic: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "verdict_u": self.verdict_u,
-            "verdict_v": self.verdict_v,
-            "evidence": self.evidence,
-            "heuristic": self.heuristic,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -77,11 +71,7 @@ class LCurve:
     saturated: list  # False where some run in the family blew up
 
     def to_dict(self) -> dict:
-        return {
-            "ell_values": self.ell_values,
-            "L_values": self.L_values,
-            "saturated": self.saturated,
-        }
+        return asdict(self)
 
 
 def _accumulator_verdict(times, accum):
@@ -156,7 +146,7 @@ def classify_run(series: DiagnosticSeries, outcome: Outcome) -> RunVerdict:
 
 
 def run_and_classify(u0: Field, v0: Field, cfg: SolverConfig):
-    final, series, outcome = evolve(State(u0.copy(), v0.copy(), 0.0), cfg)
+    final, series, outcome = evolve(State(u0, v0, 0.0), cfg)
     verdict = classify_run(series, outcome)
     return verdict, series, outcome
 
@@ -168,14 +158,6 @@ def normalize_shape(shape: Field) -> Field:
     if nrm == 0.0:
         raise ValueError("shape has zero weighted norm")
     return Field(shape.grid, shape.values / nrm)
-
-
-def _attach_bounds(v0: Field):
-    try:
-        res = scan_theta(v0)
-        return [eigenvalue_bound(v0, res)]
-    except NoNegativeEigenvalueError:
-        return []
 
 
 def bisect_threshold(
@@ -232,7 +214,7 @@ def bisect_threshold(
         ell_lower=lo,
         ell_upper=hi,
         runs=runs,
-        analytic_bounds=_attach_bounds(v0),
+        analytic_bounds=[eigenvalue_report(v0)],
         flagged=flagged,
     )
 
@@ -252,7 +234,7 @@ def scan_L_curve(
         ok, blew = [], False
         for shape in shapes:
             u0 = Field(shape.grid, ell * shape.values)
-            _, series, outcome = evolve(State(u0, v0.copy(), 0.0), cfg)
+            _, series, outcome = evolve(State(u0, v0, 0.0), cfg)
             if outcome.blew_up:
                 blew = True
             else:

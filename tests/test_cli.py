@@ -251,6 +251,8 @@ class TestRun:
         assert (run_dir / "phi.nls2").exists()
 
     def test_bounds_task(self, tmp_path):
+        # the energy-sign test runs only on a config u0: the eigen witness has
+        # zero energy by construction, so its sign would be roundoff
         cfg = {
             "grid": {"dim": 3, "n": 16, "half_width": 8.0},
             "data": {"v0": {"family": "gaussian", "amplitude": 3.0}},
@@ -259,9 +261,22 @@ class TestRun:
         run_dir = cli.run(cfg, tmp_path)
         summary = json.loads((run_dir / "summary.json").read_text())
         kinds = [r["kind"] for r in summary["result"]["reports"]]
-        assert kinds[0] == "Eigenvalue"
-        assert "EnergySign" in kinds
-        assert kinds.count("LargeData") == 2
+        assert kinds == ["Eigenvalue", "LargeData", "LargeData"]
+
+    def test_bounds_task_with_config_u0(self, tmp_path):
+        u0 = {"family": "gaussian", "amplitude": 3.0}  # energy about -52
+        cfg = {
+            "grid": {"dim": 3, "n": 16, "half_width": 8.0},
+            "data": {"u0": u0, "v0": {"family": "gaussian", "amplitude": 3.0}},
+            "task": {"name": "bounds", "n_angles": 4, "c_list": [1.0]},
+        }
+        run_dir = cli.run(cfg, tmp_path)
+        reports = json.loads((run_dir / "summary.json").read_text())["result"]["reports"]
+        assert [r["kind"] for r in reports] == ["Eigenvalue", "EnergySign", "LargeData"]
+        sign = reports[1]
+        assert sign["witness"]["energy"] < 0.0
+        grid = make_grid(3, 16, 8.0)
+        assert sign["bound_value"] == fh_half_norm(cli.build_data(u0, grid, "u"))
 
     def test_bounds_task_without_negative_eigenvalue(self, tmp_path):
         # on the periodic box the lowest eigenvalue sits near the mean of the
@@ -278,8 +293,18 @@ class TestRun:
             "bound_value": None,
             "witness": {"reason": "no angle in the scan produces a negative eigenvalue"},
         }
-        # no eigen witness and no u0: the energy-sign test is skipped
+        # no u0 in the config: the energy-sign test is skipped
         assert [r["kind"] for r in reports] == ["Eigenvalue", "LargeData"]
+
+    def test_threshold_task_without_negative_eigenvalue(self, tmp_path):
+        # v0 = 0: the threshold run records the bounds task's unfired report
+        run_dir = cli.run(threshold_config(), tmp_path)
+        result = json.loads((run_dir / "threshold.json").read_text())
+        assert result["analytic_bounds"] == [{
+            "kind": "Eigenvalue",
+            "bound_value": None,
+            "witness": {"reason": "no angle in the scan produces a negative eigenvalue"},
+        }]
 
     def test_threshold_honours_blowup_factor(self, tmp_path):
         def probes(cfg):
@@ -474,3 +499,17 @@ class TestMain:
         assert err["error"] == "ValueError"
         assert repr(key) in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task", [{"xi": [1.0, 0.0, 0.0]}, {"t_final": -0.5}],
+                             ids=["xi-off-lattice", "negative-t_final"])
+    def test_task_error_leaves_out_empty(self, task, tmp_path, capsys):
+        # values only the task can reject: it has started when it raises
+        cfg = full_config("symmetry-check")
+        cfg["task"].update(task)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = cli.main(["symmetry-check", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out.strip())["error"] == "ValueError"
+        assert list(out.iterdir()) == []

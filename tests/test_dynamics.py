@@ -337,12 +337,11 @@ class TestFusedKernel:
             u, v = kern.true_values()
             assert close(u, states[k + 1].u.values) and close(v, states[k + 1].v.values), k
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflow_returns_the_previous_step(self):
-        # amplitude 30 with dt = 10: the first step is finite (sup-norm
-        # ~1e22) and the second overflows inside RK4.  A limit of 1.5x the
-        # first step's sup-norm makes that step the blowup state, recovered
-        # by undoing the half-step of the retained iterate.
+    def overflow_case(self):
+        """Amplitude 30 with dt = 10: the first step is finite (sup-norm
+        ~1e22) and the second overflows inside RK4.  A limit of 1.5x the
+        first step's sup-norm makes that step the blowup state.  Returns the
+        data, the config and the unfused first step."""
         g = make_grid(3, 16, 6.0)
         s = State(gaussian(g, 30.0), gaussian(g, 30.0), 0.0)
         first = unfused_strang(s, 10.0, True)
@@ -351,11 +350,32 @@ class TestFusedKernel:
             dt=10.0, t_end=100.0, blowup_linf_factor=1.5 * linf1 / 30.0,
             blowup_hs_factor=np.inf,
         )
+        return s, cfg, first
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_returns_the_previous_step(self):
+        # the blowup state is recovered by undoing the half-step of the
+        # retained iterate
+        s, cfg, first = self.overflow_case()
         fin, series, out = evolve(s, cfg)
         assert out.blew_up
         assert out.t == fin.t == 10.0
         assert series["t"] == [0.0, 10.0]
         assert close(fin.u.values, first.u.values) and close(fin.v.values, first.v.values)
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["completed", "overflow"])
+    def test_input_state_untouched(self, overflow):
+        # callers hand their fields to evolve without copying them
+        if overflow:
+            s, cfg, _ = self.overflow_case()
+        else:
+            s, cfg = self.data(), SolverConfig(dt=1e-2, t_end=0.05)
+        before = s.copy()
+        fin, _, out = evolve(s, cfg)
+        assert out.blew_up == overflow
+        for f, f0, f1 in ((s.u, before.u, fin.u), (s.v, before.v, fin.v)):
+            assert np.array_equal(f.values, f0.values)
+            assert not np.shares_memory(f.values, f1.values)
 
 
 class TestStateIO:
