@@ -74,9 +74,14 @@ def _which(which: str) -> str:
     return which
 
 
-@lru_cache(maxsize=4)
 def _ground_state(grid: Grid, omega: float = 1.0, **solve_keys):
-    return groundstate.solve_ground_state(grid, omega, **solve_keys)
+    """Cached by value: a default omega and an explicit 1.0 share one solve."""
+    return _solved_ground_state(grid, omega, *sorted(solve_keys.items()))
+
+
+@lru_cache(maxsize=4)
+def _solved_ground_state(grid: Grid, omega: float, *solve_items):
+    return groundstate.solve_ground_state(grid, omega, **dict(solve_items))
 
 
 def _gaussian(grid, role, amplitude=1.0, width=1.0, center=None, phase=0.0, boost=None):

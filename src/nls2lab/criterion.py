@@ -92,18 +92,15 @@ def lowest_eigenpair(v0: Field, theta: float, tol: float = 1e-10) -> EigenResult
     phi = np.exp(-r2).ravel()
     phi /= _l2(phi, dvol)
 
+    # H - sigma and its preconditioner (-Delta - sigma)^{-1}, at the current sigma
+    def precond(w):
+        w = w.reshape(grid.shape)
+        return np.real(ifftn(fftn(w) / (k2 - sigma))).ravel()
+
+    A = LinearOperator((npts, npts), matvec=lambda w: apply_h(w) - sigma * w, dtype=float)
+    M = LinearOperator((npts, npts), matvec=precond, dtype=float)
+
     for it in range(1, _EIGEN_MAX_ITER + 1):
-        shift = sigma
-
-        def matvec(w, s=shift):
-            return apply_h(w) - s * w
-
-        def precond(w, s=shift):
-            w = w.reshape(grid.shape)
-            return np.real(ifftn(fftn(w) / (k2 - s))).ravel()
-
-        A = LinearOperator((npts, npts), matvec=matvec, dtype=float)
-        M = LinearOperator((npts, npts), matvec=precond, dtype=float)
         w, info = cg(A, phi, x0=phi, rtol=1e-12, atol=0.0, maxiter=400, M=M)
         if info != 0:
             raise NoConvergenceError(
@@ -146,8 +143,9 @@ def lowest_eigenpair(v0: Field, theta: float, tol: float = 1e-10) -> EigenResult
     return result
 
 
-def scan_theta(v0: Field, n_angles: int = 16, tol: float = 1e-10):
-    """Scan theta over a uniform angle grid, keep the minimizing eigenpair.
+def scan_theta(v0: Field, n_angles: int = 16, **eigen_keys):
+    """Scan theta over a uniform angle grid, keep the minimizing eigenpair;
+    eigen_keys go on to lowest_eigenpair.
 
     An angle with min W >= the best e_tilde so far is skipped unsolved: k^2 >= 0
     on the torus, so H >= min W there and the angle cannot win.  Returns the
@@ -158,7 +156,7 @@ def scan_theta(v0: Field, n_angles: int = 16, tol: float = 1e-10):
         if best is not None and _potential(v0, float(theta)).min() >= best.e_tilde:
             continue
         try:
-            res = lowest_eigenpair(v0, float(theta), tol=tol)
+            res = lowest_eigenpair(v0, float(theta), **eigen_keys)
         except NoNegativeEigenvalueError:
             continue
         if best is None or res.e_tilde < best.e_tilde:
@@ -207,11 +205,12 @@ def eigenvalue_bound(v0: Field, res: EigenResult) -> BoundReport:
     )
 
 
-def eigenvalue_report(v0: Field, n_angles: int = 16) -> BoundReport:
-    """The Eigenvalue report of a theta scan: the fired eigenvalue_bound, or
-    an unfired report with the reason when no angle has a negative eigenvalue."""
+def eigenvalue_report(v0: Field, **scan_keys) -> BoundReport:
+    """The Eigenvalue report of a theta scan (scan_keys go on to scan_theta):
+    the fired eigenvalue_bound, or an unfired report with the reason when no
+    angle has a negative eigenvalue."""
     try:
-        return eigenvalue_bound(v0, scan_theta(v0, n_angles))
+        return eigenvalue_bound(v0, scan_theta(v0, **scan_keys))
     except NoNegativeEigenvalueError as exc:
         return BoundReport("Eigenvalue", None, {"reason": str(exc)})
 

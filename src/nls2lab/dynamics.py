@@ -20,13 +20,12 @@ from .observables import energy as energy_report
 from .spectral import (
     Field,
     Grid,
-    _read_header,
-    _read_values,
-    _write_header,
     KIND_STATE,
     fftn,
     ifftn,
     lp_norm,
+    read_nls2,
+    write_nls2,
     x_norm,
 )
 
@@ -396,17 +395,9 @@ def evolve(state: State, cfg: SolverConfig):
 
 
 def write_state(path, state: State):
-    with open(path, "wb") as fh:
-        _write_header(fh, KIND_STATE, state.grid, t=state.t)
-        np.ascontiguousarray(state.u.values).astype("<c16").tofile(fh)
-        np.ascontiguousarray(state.v.values).astype("<c16").tofile(fh)
+    write_nls2(path, KIND_STATE, state.grid, [state.u.values, state.v.values], t=state.t)
 
 
 def read_state(path) -> State:
-    with open(path, "rb") as fh:
-        kind, grid, t = _read_header(fh)
-        if kind != KIND_STATE:
-            raise ValueError(f"expected a state file, got kind {kind}")
-        u = _read_values(fh, grid)
-        v = _read_values(fh, grid)
+    grid, (u, v), t = read_nls2(path, KIND_STATE)
     return State(Field(grid, u), Field(grid, v), t)

@@ -65,7 +65,7 @@ def report_all(state) -> dict:
     """Aggregate report: conserved quantities plus the norm set used by the
     diagnostics (weighted norms, sup norm, time-dependent norms at t)."""
     rep = energy(state)
-    out = {
+    return {
         "t": state.t,
         "mass": rep.mass,
         "energy": rep.energy,
@@ -76,8 +76,6 @@ def report_all(state) -> dict:
         "fh_half_v": fh_half_norm(state.v),
         "linf_u": lp_norm(state.u, np.inf),
         "linf_v": lp_norm(state.v, np.inf),
+        "x_norm_u": x_norm(state.u, state.t, X_SPEC_U),
+        "x_norm_v": x_norm(state.v, state.t, X_SPEC_V),
     }
-    if state.t != 0.0:
-        out["x_norm_u"] = x_norm(state.u, state.t, X_SPEC_U)
-        out["x_norm_v"] = x_norm(state.v, state.t, X_SPEC_V)
-    return out

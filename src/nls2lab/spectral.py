@@ -101,10 +101,6 @@ class Grid:
         return sum(a ** 2 for a in self.axes)
 
     @cached_property
-    def r(self) -> np.ndarray:
-        return np.sqrt(self.r2)
-
-    @cached_property
     def k2(self) -> np.ndarray:
         return sum(a ** 2 for a in self.kaxes)
 
@@ -216,14 +212,6 @@ def lp_norm(f: Field, r: float) -> float:
     return float((np.sum(a ** r) * f.grid.dvol) ** (1.0 / r))
 
 
-def weighted_lp_norm(f: Field, s: float, r: float) -> float:
-    """Plain quadrature of || |x|^s f ||_{L^r} (diagnostic accuracy only)."""
-    a = np.abs(f.values) * f.grid.r ** s
-    if np.isinf(r):
-        return float(a.max())
-    return float((np.sum(a ** r) * f.grid.dvol) ** (1.0 / r))
-
-
 def _fh_half_weight(grid: Grid) -> np.ndarray:
     """The weight q with fh_half_norm(f)^2 = sum q |f|^2.
 
@@ -309,10 +297,13 @@ def x_norm(f: Field, t: float, spec: NormSpec) -> float:
     """|t|^s || |nabla|^s ( exp(-i m |x|^2/(2t)) f ) ||_{L^r}.
 
     At t = 0 it returns the t -> 0 limit m^s || |x|^s f ||_{L^r}: the
-    operator |t|^s |nabla|^s e^{-i m |x|^2/(2t)} tends to |m x|^s.
+    operator |t|^s |nabla|^s e^{-i m |x|^2/(2t)} tends to |m x|^s.  The
+    limit is the plain rectangle rule, without fh_half_norm's cusp correction.
     """
     if t == 0:
-        return spec.m ** spec.s * weighted_lp_norm(f, spec.s, spec.r)
+        grid = f.grid
+        weighted = Field(grid, np.sqrt(grid.r2) ** spec.s * np.abs(f.values))
+        return spec.m ** spec.s * lp_norm(weighted, spec.r)
     g = quadratic_phase(f.grid, -spec.m, t) * f.values
     if spec.s > 0:
         ghat = fftn(g)
@@ -348,46 +339,45 @@ _MAGIC = b"NLS2"
 _VERSION = 1
 KIND_FIELD = 1
 KIND_STATE = 2
+# kind: (name in error messages, number of arrays in the payload)
+_KINDS = {KIND_FIELD: ("field", 1), KIND_STATE: ("state", 2)}
 
 
-def _write_header(fh, kind: int, grid: Grid, t: float | None = None):
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<IIII", _VERSION, kind, grid.dim, grid.n))
-    fh.write(struct.pack("<d", grid.half_width))
-    if kind == KIND_STATE:
-        fh.write(struct.pack("<d", float(t)))
+def write_nls2(path, kind: int, grid: Grid, arrays, t: float | None = None):
+    """Write the arrays of one field (kind 1) or of a state at time t (kind 2)."""
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<IIIId", _VERSION, kind, grid.dim, grid.n, grid.half_width))
+        if kind == KIND_STATE:
+            fh.write(struct.pack("<d", float(t)))
+        for a in arrays:
+            np.ascontiguousarray(a).astype("<c16").tofile(fh)
 
 
-def _read_header(fh):
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    version, kind, dim, n = struct.unpack("<IIII", fh.read(16))
-    if version != _VERSION:
-        raise ValueError(f"unsupported field-format version {version}")
-    (half_width,) = struct.unpack("<d", fh.read(8))
-    t = None
-    if kind == KIND_STATE:
-        (t,) = struct.unpack("<d", fh.read(8))
-    return kind, make_grid(dim, n, half_width), t
-
-
-def _read_values(fh, grid: Grid) -> np.ndarray:
-    raw = np.fromfile(fh, dtype="<c16", count=grid.npoints)
-    if raw.size != grid.npoints:
+def read_nls2(path, kind: int) -> tuple:
+    """(grid, arrays, t) of a file of the given kind; t is None for a field."""
+    name, count = _KINDS[kind]
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != _MAGIC:
+            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+        version, got, dim, n, half_width = struct.unpack("<IIIId", fh.read(24))
+        if version != _VERSION:
+            raise ValueError(f"unsupported field-format version {version}")
+        if got != kind:
+            raise ValueError(f"expected a {name} file, got kind {got}")
+        t = struct.unpack("<d", fh.read(8))[0] if kind == KIND_STATE else None
+        grid = make_grid(dim, n, half_width)
+        arrays = [np.fromfile(fh, dtype="<c16", count=grid.npoints) for _ in range(count)]
+    if any(a.size != grid.npoints for a in arrays):
         raise ValueError("truncated field file")
-    return raw.reshape(grid.shape)
+    return grid, [a.reshape(grid.shape) for a in arrays], t
 
 
 def write_field(path, f: Field):
-    with open(path, "wb") as fh:
-        _write_header(fh, KIND_FIELD, f.grid)
-        np.ascontiguousarray(f.values).astype("<c16").tofile(fh)
+    write_nls2(path, KIND_FIELD, f.grid, [f.values])
 
 
 def read_field(path) -> Field:
-    with open(path, "rb") as fh:
-        kind, grid, _ = _read_header(fh)
-        if kind != KIND_FIELD:
-            raise ValueError(f"expected a field file, got kind {kind}")
-        return Field(grid, _read_values(fh, grid))
+    grid, (values,), _ = read_nls2(path, KIND_FIELD)
+    return Field(grid, values)

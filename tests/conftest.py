@@ -18,7 +18,7 @@ def ground_state_family(gs, c1, c2):
 def radial_shell_means(f, nbins=24):
     """Mean of Re f over radial shells, for the positivity and monotonicity
     checks of ground-state profiles."""
-    r = f.grid.r.ravel()
+    r = np.sqrt(f.grid.r2).ravel()
     vals = np.real(f.values).ravel()
     edges = np.linspace(0.0, f.grid.half_width, nbins + 1)
     idx = np.digitize(r, edges) - 1

@@ -3,6 +3,7 @@ outputs, and error reporting."""
 
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,6 +198,19 @@ class TestBuildData:
         desc = {"family": "ground_state_component", "omega": 3.0, "which": "Q3"}
         with pytest.raises(ValueError, match="'Q1' or 'Q2'"):
             cli.build_data(desc, make_grid(3, 16, 6.0))
+
+    def test_ground_state_cached_by_value(self, monkeypatch):
+        g = make_grid(1, 8, 2.75)  # no other test uses this grid: a fresh cache entry
+        solves = []
+
+        def spy(grid, omega, **solve_keys):
+            solves.append(omega)
+            return SimpleNamespace(Q1=zeros(grid), Q2=zeros(grid))
+
+        monkeypatch.setattr(cli.groundstate, "solve_ground_state", spy)
+        cli.build_data({"family": "ground_state_component", "which": "Q1"}, g)
+        cli.build_data({"family": "ground_state_component", "which": "Q2", "omega": 1.0}, g)
+        assert solves == [1.0]
 
     def test_unknown_family(self):
         g = make_grid(3, 16, 6.0)

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import gaussian
 from nls2lab.dynamics import SolverConfig, State, evolve, linear_step
-from nls2lab.observables import energy, interaction_term, mass, report_all
-from nls2lab.spectral import Field, make_grid, sobolev_seminorm, zeros
+from nls2lab.observables import X_SPEC_U, energy, interaction_term, mass, report_all
+from nls2lab.spectral import Field, make_grid, sobolev_seminorm, x_norm, zeros
 
 
 def test_mass_gaussian_closed_form():
@@ -81,7 +81,8 @@ def test_h1_size_is_the_gradient_norm_sum():
 def test_report_all_keys():
     g = make_grid(3, 16, 5.0)
     rep0 = report_all(State(gaussian(g), gaussian(g), 0.0))
-    assert "x_norm_u" not in rep0  # undefined at t = 0
+    # the t -> 0 limit of the X norm
+    assert rep0["x_norm_u"] == x_norm(gaussian(g), 0.0, X_SPEC_U)
     rep1 = report_all(State(gaussian(g), gaussian(g), 0.5))
     for key in ("mass", "energy", "fh_half_u", "linf_v", "x_norm_u", "x_norm_v"):
         assert key in rep1

@@ -10,6 +10,7 @@ import scipy.fft
 from conftest import gaussian
 from oracles import dense_fh_half_norm, radial_weighted_l2
 from nls2lab import spectral
+from nls2lab.dynamics import State, read_state, write_state
 from nls2lab.errors import NonFiniteFieldError
 from nls2lab.spectral import (
     Field,
@@ -22,7 +23,6 @@ from nls2lab.spectral import (
     make_grid,
     read_field,
     sobolev_seminorm,
-    weighted_lp_norm,
     write_field,
     x_norm,
     zeros,
@@ -138,7 +138,7 @@ class TestNorms:
         f = gaussian(g)
         oracle = radial_weighted_l2(lambda r: np.exp(-r ** 2 / 2.0))
         err_corrected = abs(fh_half_norm(f) - oracle) / oracle
-        err_plain = abs(weighted_lp_norm(f, 0.5, 2.0) - oracle) / oracle
+        err_plain = abs(x_norm(f, 0.0, NormSpec(0.5, 2.0, 1.0)) - oracle) / oracle
         assert err_corrected < 1e-6 < err_plain
 
     def test_fh_half_zero_field(self):
@@ -203,9 +203,9 @@ class TestNorms:
         f = gaussian(g)
         spec = NormSpec(s=0.5, r=18.0 / 7.0, m=0.5)
         # at t = 0 the m^s-scaled |x|^s-weighted norm, the t -> 0 limit
-        assert x_norm(f, 0.0, spec) == pytest.approx(
-            0.5 ** 0.5 * weighted_lp_norm(f, 0.5, 18.0 / 7.0), rel=1e-15
-        )
+        r = 18.0 / 7.0
+        ref = (np.sum((np.sqrt(g.r2) ** 0.5 * np.abs(f.values)) ** r) * g.dvol) ** (1.0 / r)
+        assert x_norm(f, 0.0, spec) == pytest.approx(0.5 ** 0.5 * ref, rel=1e-15)
         spec0 = NormSpec(s=0.0, r=3.0, m=1.0)
         # with s=0 the quadratic phase is unimodular: plain L^r norm
         assert x_norm(f, 0.7, spec0) == pytest.approx(lp_norm(f, 3.0), rel=1e-12)
@@ -249,3 +249,21 @@ class TestFieldIO:
         p.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
             read_field(p)
+
+    @pytest.mark.parametrize("case", ["state-as-field", "state-cut-in-v", "version-2"])
+    def test_reader_rejects(self, case, tmp_path):
+        g = make_grid(2, 16, 1.0)
+        p = tmp_path / "s.nls2"
+        write_state(p, State(zeros(g), zeros(g), 0.5))
+        data = p.read_bytes()
+        if case == "state-as-field":
+            read, match = read_field, "kind"
+        elif case == "state-cut-in-v":
+            # header, all of u, half of v
+            p.write_bytes(data[: len(data) - g.npoints * 8])
+            read, match = read_state, "truncated"
+        else:
+            p.write_bytes(data[:4] + (2).to_bytes(4, "little") + data[8:])
+            read, match = read_state, "version"
+        with pytest.raises(ValueError, match=match):
+            read(p)
