@@ -218,7 +218,8 @@ def _task_groundstate(config, grid, run_dir):
     write_field(run_dir / "q2.nls2", gs.Q2)
     rep = observables.energy(dynamics.State(gs.Q1, gs.Q2, 0.0))
     meta = {"omega": gs.omega, "residual1": gs.residual1, "residual2": gs.residual2,
-            "iterations": gs.iterations, "mass": rep.mass, "energy": rep.energy}
+            "iterations": gs.iterations, "discarded": gs.discarded,
+            "mass": rep.mass, "energy": rep.energy}
     (run_dir / "groundstate.json").write_text(canonical_json(meta))
     return meta
 

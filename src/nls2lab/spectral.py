@@ -354,6 +354,14 @@ def write_nls2(path, kind: int, grid: Grid, arrays, t: float | None = None):
             np.ascontiguousarray(a).astype("<c16").tofile(fh)
 
 
+def _unpack(fh, fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) < size:
+        raise ValueError("truncated field file")
+    return struct.unpack(fmt, raw)
+
+
 def read_nls2(path, kind: int) -> tuple:
     """(grid, arrays, t) of a file of the given kind; t is None for a field."""
     name, count = _KINDS[kind]
@@ -361,12 +369,12 @@ def read_nls2(path, kind: int) -> tuple:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, got, dim, n, half_width = struct.unpack("<IIIId", fh.read(24))
+        version, got, dim, n, half_width = _unpack(fh, "<IIIId")
         if version != _VERSION:
             raise ValueError(f"unsupported field-format version {version}")
         if got != kind:
             raise ValueError(f"expected a {name} file, got kind {got}")
-        t = struct.unpack("<d", fh.read(8))[0] if kind == KIND_STATE else None
+        t = _unpack(fh, "<d")[0] if kind == KIND_STATE else None
         grid = make_grid(dim, n, half_width)
         arrays = [np.fromfile(fh, dtype="<c16", count=grid.npoints) for _ in range(count)]
     if any(a.size != grid.npoints for a in arrays):

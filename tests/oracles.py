@@ -2,8 +2,8 @@
 
 Nothing here shares a code path with the implementation being checked:
 the eigen oracle diagonalizes a densely assembled matrix with LAPACK, the
-ground-state oracle is a radial finite-difference Newton solve, the
-weighted-norm oracle is one-dimensional adaptive quadrature, and the dense
+ground-state oracles are a radial finite-difference Newton solve and the
+plain (unmixed) spectral renormalization loop, the weighted-norm oracle is one-dimensional adaptive quadrature, and the dense
 cusp-corrected norm builds the whole 3x refined lattice at once.
 """
 
@@ -78,6 +78,46 @@ def radial_ground_state_fd(omega, R=14.0, N=1400, max_newton=40, tol=1e-10):
         q1 = q1 - d[:N]
         q2 = q2 - d[N:]
     raise RuntimeError(f"radial Newton did not converge (residual {res:.3e})")
+
+
+def plain_ground_state(grid, omega, tol=1e-11, max_iter=500):
+    """The 3D ground state by plain spectral renormalization: every iterate
+    is the previous one's image, with no mixing and no history.  Whole-array
+    sums, the full multiplier arrays and scipy's out-of-place FFTs.
+
+    Returns (q1, q2, iterations) with real q1, q2."""
+    dvol = grid.dvol
+    mult1 = grid.k2 + omega
+    mult2 = 0.5 * grid.k2 + 2.0 * omega
+
+    def fft(a):
+        return _fftn(a, norm="ortho")
+
+    def recenter(a):
+        peak = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+        return np.roll(a, tuple(c - p for c, p in zip(grid.center_index, peak)),
+                       axis=tuple(range(a.ndim)))
+
+    g = np.exp(-0.5 * omega * grid.r2)
+    ghat = fft(g)
+    a_pair1 = float(np.real(np.sum(mult1 * np.abs(ghat) ** 2)) * dvol)
+    a_pair2 = float(np.real(np.sum(mult2 * np.abs(ghat) ** 2)) * dvol)
+    b_cubic = float(np.sum(g ** 3) * dvol)
+    a2 = a_pair1 / (2.0 * b_cubic)
+    a1 = np.sqrt(a2 * a_pair2 / b_cubic)
+    q1, q2 = a1 * g, a2 * g
+    for it in range(1, max_iter + 1):
+        q1hat, q2hat = fft(q1), fft(q2)
+        n1hat, n2hat = fft(2.0 * q1 * q2), fft(q1 * q1)
+        res1 = np.sqrt(np.sum(np.abs(mult1 * q1hat - n1hat) ** 2) * dvol)
+        res2 = np.sqrt(np.sum(np.abs(mult2 * q2hat - n2hat) ** 2) * dvol)
+        if res1 < tol and res2 < tol:
+            return q1, q2, it
+        s1 = np.sum(mult1 * np.abs(q1hat) ** 2) / np.real(np.sum(n1hat * np.conj(q1hat)))
+        s2 = np.sum(mult2 * np.abs(q2hat) ** 2) / np.real(np.sum(n2hat * np.conj(q2hat)))
+        q1 = recenter(s1 ** 1.5 * np.sqrt(s2) * np.real(_ifftn(n1hat / mult1, norm="ortho")))
+        q2 = recenter(s1 * s2 * np.real(_ifftn(n2hat / mult2, norm="ortho")))
+    raise RuntimeError(f"plain renormalization did not converge ({res1:.3e}, {res2:.3e})")
 
 
 def radial_weighted_l2(profile, dim=3, upper=np.inf):

@@ -1,13 +1,17 @@
-"""Ground-state solver: residuals, profile structure, and the independent
-radial finite-difference oracle."""
+"""Ground-state solver: residuals, profile structure, the independent
+radial finite-difference and plain-iteration oracles, the convergence-tail
+check and the memory of the mixed iteration."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ground_state_family, radial_shell_means
-from oracles import radial_ground_state_fd
+from oracles import plain_ground_state, radial_ground_state_fd
 from nls2lab.dynamics import SolverConfig, State, evolve
-from nls2lab.groundstate import solve_ground_state
+from nls2lab.errors import NoConvergenceError
+from nls2lab.groundstate import _check_monotone_tail, solve_ground_state
 from nls2lab.spectral import lp_norm, make_grid
 
 
@@ -79,3 +83,80 @@ def test_family_scaling(gs24):
     u, v = ground_state_family(gs24, 2.0, 0.5)
     assert lp_norm(u, 2.0) == pytest.approx(2.0 * lp_norm(gs24.Q1, 2.0), rel=1e-12)
     assert lp_norm(v, 2.0) == pytest.approx(0.5 * lp_norm(gs24.Q2, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+def test_mixed_matches_plain_iteration(omega):
+    """The mixed solve and the plain renormalization loop reach the same
+    fixed point.  Each stops with residuals below tol, so each lies within
+    C tol of the fixed point in L^2, C the norm of the inverse linearized
+    operator; the measured gaps (7.3e-12 at omega = 1, 3.8e-12 at 2) put C
+    near 1 here.  The bound 10 tol leaves a margin of 5 on 2 tol."""
+    tol = 1e-11
+    g = make_grid(3, 24, 8.0)
+    gs = solve_ground_state(g, omega, tol=tol)
+    q1, q2, _ = plain_ground_state(g, omega, tol=tol)
+    gap = np.sqrt((np.sum((gs.Q1.values.real - q1) ** 2)
+                   + np.sum((gs.Q2.values.real - q2) ** 2)) * g.dvol)
+    assert gap < 10 * tol
+    # the plain loop takes 88 and 114 evaluations here: a solve that fell
+    # back to plain iteration would not stay below 30
+    assert gs.iterations <= 30
+    assert gs.iterations == len(gs.residual_history) + gs.discarded
+
+
+@pytest.mark.parametrize("omega", [1.9, 2.1])
+def test_converges_at_the_ends_of_the_threshold_range(omega):
+    gs = solve_ground_state(make_grid(3, 24, 8.0), omega)
+    assert max(gs.residual1, gs.residual2) < 1e-11
+    assert gs.iterations <= 30
+
+
+def test_memory_of_the_mixed_solve():
+    """The solve's numpy peak stays within the design's count of real
+    fields: 20 for the depth-5 history (a pair of difference arrays per
+    column, each a pair of fields), 2 for the iterate, 2 for its image and
+    4 for the two complex spectra.  Temporaries add at most one more: the
+    slab-by-slab sums take less than a field while the spectra live, and
+    _recenter's |q| (a field) is taken after they are freed.  Half a field
+    more covers the small objects."""
+    g = make_grid(3, 32, 10.0)
+    g.k2, g.r2  # the grid's cached arrays are not the solver's
+    unit = g.npoints * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        solve_ground_state(g, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (28 + 1 + 0.5) * unit
+
+
+class TestMonotoneTail:
+    grid = make_grid(3, 8, 4.0)
+    q = np.zeros(grid.shape)
+
+    def check(self, history):
+        _check_monotone_tail(history, self.grid, self.q, self.q)
+
+    def test_flat_tail_passes(self):
+        self.check([(1.0, 1.0)] * 12)
+
+    def test_rise_of_five_percent_passes(self):
+        self.check([(1.0, 1.0)] * 5 + [(1.05, 1.05)] * 5)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_rise_in_either_component_fires(self, component):
+        risen = [1.0, 1.0]
+        risen[component] = 1.06
+        history = [(1.0, 1.0)] * 9 + [tuple(risen)] + [(0.5, 0.5)] * 2
+        with pytest.raises(NoConvergenceError, match="monoton"):
+            self.check(history)
+
+    def test_rise_into_the_first_tail_entry_is_ignored(self):
+        # the tail is the last 10 entries; the rise is from entry 1 to 2
+        self.check([(1.0, 1.0)] * 2 + [(2.0, 2.0)] * 10)
+
+    def test_rise_inside_the_tail_fires(self):
+        with pytest.raises(NoConvergenceError):
+            self.check([(1.0, 1.0)] * 3 + [(2.0, 2.0)] * 9)

@@ -1,6 +1,7 @@
 """Property tests: Parseval for the unitary FFT, unitarity of the free
-flow, the homogeneity of the weighted norm, the NLS2 file round trip, and
-a config hash that ignores key order.  Grids stay at 16^3 or below and the
+flow, the homogeneity of the weighted norm, the NLS2 file round trip, a
+config hash that ignores key order, the scaling laws of `scale_data` and
+the group laws of the Galilean boost.  Grids stay at 16^3 or below and the
 example counts small, so the file runs in seconds."""
 
 import tempfile
@@ -13,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from nls2lab import cli
 from nls2lab.dynamics import State, linear_step, read_state, write_state
+from nls2lab.observables import energy, mass
 from nls2lab.spectral import Field, fftn, fh_half_norm, make_grid, read_field, write_field
+from nls2lab.symmetry import boost_evolved_state, galilean_boost, scale_data
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -130,3 +133,73 @@ def test_config_hash_ignores_key_order(config, rng):
     shuffled = reorder(config, rng)
     assert shuffled == config
     assert cli.config_hash(shuffled) == cli.config_hash(config)
+
+
+def random_pair(grid, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+                 for _ in range(2))
+
+
+dyadic = st.integers(-3, 3).map(lambda k: 2.0 ** k)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@FEW
+@given(grids, dyadic, dyadic, seeds)
+def test_scale_data_composes(grid, a, b, seed):
+    pair = random_pair(grid, seed)
+    twice = scale_data(scale_data(pair, a), b)
+    once = scale_data(pair, a * b)
+    # dyadic factors: the grids and the samples agree bit for bit
+    for f, g in zip(twice, once):
+        assert f.grid == g.grid
+        assert f.values.tobytes() == g.values.tobytes()
+
+
+@FEW
+@given(grids, dyadic, seeds)
+def test_scale_data_scales_mass_and_energy(grid, lam, seed):
+    """(lam^2 f(lam x), lam^2 g(lam x)) in d dimensions: the mass scales by
+    lam^(4-d), and each energy term (two derivatives, or one more power of
+    the fields) by lam^(6-d)."""
+    pair = random_pair(grid, seed)
+    scaled = scale_data(pair, lam)
+    d = grid.dim
+    before, after = State(*pair, 0.0), State(*scaled, 0.0)
+    assert mass(after) == pytest.approx(lam ** (4 - d) * mass(before), rel=1e-12)
+    e0, e1 = energy(before), energy(after)
+    for term in ("kinetic_u", "kinetic_v", "interaction", "energy"):
+        expected = lam ** (6 - d) * getattr(e0, term)
+        scale = lam ** (6 - d) * (e0.kinetic_u + e0.kinetic_v + abs(e0.interaction))
+        assert getattr(e1, term) == pytest.approx(expected, abs=1e-12 * scale)
+
+
+def lattice_frequency(grid, draw_ints):
+    return np.array(draw_ints[:grid.dim], dtype=float) * np.pi / grid.half_width
+
+
+@FEW
+@given(grids, st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3), seeds)
+def test_galilean_boost_composes_and_keeps_mass(grid, j, k, seed):
+    xi, eta = lattice_frequency(grid, j), lattice_frequency(grid, k)
+    pair = random_pair(grid, seed)
+    twice = galilean_boost(galilean_boost(pair, xi), eta)
+    once = galilean_boost(pair, xi + eta)
+    for f, g in zip(twice, once):
+        assert np.max(np.abs(f.values - g.values)) < 1e-12 * np.max(np.abs(g.values))
+    m = mass(State(*pair, 0.0))
+    assert mass(State(*once, 0.0)) == pytest.approx(m, rel=1e-12)
+
+
+@FEW
+@given(grids, st.lists(st.integers(-3, 3), min_size=3, max_size=3), seeds)
+def test_boost_evolved_state_at_t0_is_the_boost(grid, j, seed):
+    xi = lattice_frequency(grid, j)
+    pair = random_pair(grid, seed)
+    state = boost_evolved_state(State(*pair, 0.0), xi, 0.0)
+    boosted = galilean_boost(pair, xi)
+    for f, g in zip((state.u, state.v), boosted):
+        # the t = 0 translation is an FFT round trip: equal up to round-off
+        assert np.max(np.abs(f.values - g.values)) < 1e-12 * np.max(np.abs(g.values))

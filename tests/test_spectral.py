@@ -250,7 +250,9 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="truncated"):
             read_field(p)
 
-    @pytest.mark.parametrize("case", ["state-as-field", "state-cut-in-v", "version-2"])
+    @pytest.mark.parametrize(
+        "case", ["state-as-field", "state-cut-in-v", "version-2", "header-cut", "state-cut-in-t"]
+    )
     def test_reader_rejects(self, case, tmp_path):
         g = make_grid(2, 16, 1.0)
         p = tmp_path / "s.nls2"
@@ -261,6 +263,14 @@ class TestFieldIO:
         elif case == "state-cut-in-v":
             # header, all of u, half of v
             p.write_bytes(data[: len(data) - g.npoints * 8])
+            read, match = read_state, "truncated"
+        elif case == "header-cut":
+            # magic and version only
+            p.write_bytes(data[:8])
+            read, match = read_field, "truncated"
+        elif case == "state-cut-in-t":
+            # magic, the 24-byte header and half of t
+            p.write_bytes(data[:32])
             read, match = read_state, "truncated"
         else:
             p.write_bytes(data[:4] + (2).to_bytes(4, "little") + data[8:])
