@@ -14,7 +14,8 @@ Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): the next trial
 is the affine combination of the last few images T(x_j) whose combination
 of residuals T(x_j) - x_j is smallest.  A mixed trial whose residual rises
 is discarded; the history is then cleared and the plain step T is taken
-from the last accepted iterate.
+from the last accepted iterate.  Where the mixed residuals still rise near
+convergence, the plain iteration is run from the start instead.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class GroundState:
     # mixed trials discarded because a residual rose
     discarded: int
     # (res1, res2) of every iterate the solver stepped from, the last one
-    # included
+    # included, in the mixed and then any plain iteration
     residual_history: list = field(default_factory=list, repr=False)
 
 
@@ -69,6 +70,11 @@ def _slabs(shape):
 
 def _rose(before, after) -> bool:
     return any(b > a * _RISE for a, b in zip(before, after))
+
+
+def _tail_rises(history) -> bool:
+    tail = history[-10:]
+    return any(_rose(a, b) for a, b in zip(tail, tail[1:]))
 
 
 def _pair_dot(f, g) -> float:
@@ -130,18 +136,20 @@ def _evaluate(grid: Grid, omega: float, q1, q2, image):
 
 
 class _Anderson:
-    """Anderson mixing of depth _DEPTH on pairs of real arrays.
+    """Anderson mixing of depth `depth` on pairs of real arrays; depth 0 is
+    the plain iteration x <- T(x).
 
     Holds the iterate x, the image g = T(x) of the last accepted iterate
-    and up to _DEPTH difference columns (G_j, F_j) of consecutive accepted
+    and up to `depth` difference columns (G_j, F_j) of consecutive accepted
     images g and residuals f = g - x, oldest first, with the Gram matrix of
     the F_j.  The next trial is x = g - sum_j gamma_j G_j, where gamma
     minimizes |f - sum_j gamma_j F_j|.  A trial's image is written into the
     column that accepting it fills, the oldest one once the history is
     full, so the history needs no array beyond its columns."""
 
-    def __init__(self, x):
+    def __init__(self, x, depth):
         self.x = x
+        self.depth = depth
         self.g = [np.empty_like(a) for a in x]
         self.columns = []
         self.gram = np.zeros((0, 0))
@@ -156,6 +164,10 @@ class _Anderson:
         """Take x and its image (the target, perhaps rebound) as the newest
         accepted iterate and write the next trial into x.  Returns whether
         the trial mixes any column in."""
+        if self.depth == 0:
+            # the old iterate's arrays take the next image
+            self.x, self.g = image, self.x
+            return False
         if self.pending is None:
             self.g = image
         else:
@@ -168,7 +180,7 @@ class _Anderson:
         if self.columns:
             rhs = [_pair_dot(fj, f) for _, fj in self.columns]
             gamma = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
-        if len(self.columns) == _DEPTH:
+        if len(self.columns) == self.depth:
             # the oldest column holds the next image and the trial once the
             # trial no longer needs its G
             target, self.x = self.columns[0]
@@ -177,7 +189,7 @@ class _Anderson:
         for k, xk in enumerate(self.x):
             for sl in _slabs(xk.shape):
                 xk[sl] = self.g[k][sl] - sum(c * gj[k][sl] for c, (gj, _) in zip(gamma, self.columns))
-        if len(self.columns) == _DEPTH:
+        if len(self.columns) == self.depth:
             del self.columns[0]
             self.gram = self.gram[1:, 1:]
         self.pending = (target, f)
@@ -207,16 +219,16 @@ class _Anderson:
         self.pending = None
 
 
-def _iterate(grid: Grid, omega: float, tol: float, max_iter: int):
-    """Mixed fixed-point iteration from the Gaussian pair.  Returns the
-    converged pair, the number of T evaluations, the residual history and
-    the number of discarded trials."""
-    mixer = _Anderson(list(_initial_pair(grid, omega)))
+def _iterate(grid: Grid, omega: float, tol: float, max_iter: int, depth: int, done: int = 0):
+    """Fixed-point iteration from the Gaussian pair, mixed at the given
+    depth, after `done` evaluations of an earlier iteration.  Returns the
+    pair whose residuals fell below tol, the evaluation count with `done`
+    included, the residual history and the number of discarded trials."""
+    mixer = _Anderson(list(_initial_pair(grid, omega)), depth)
     history = []
     discarded = 0
     mixed = False
-    res1 = res2 = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(done + 1, max_iter + 1):
         q1, q2 = mixer.x
         image = mixer.target()
         (res1, pair1, inner1), (res2, pair2, inner2) = _evaluate(grid, omega, q1, q2, image)
@@ -227,7 +239,6 @@ def _iterate(grid: Grid, omega: float, tol: float, max_iter: int):
             continue
         history.append((res1, res2))
         if res1 < tol and res2 < tol:
-            _check_monotone_tail(history, grid, q1, q2)
             return mixer.x, it, history, discarded
 
         if inner1 <= 0 or inner2 <= 0:
@@ -248,8 +259,12 @@ def _iterate(grid: Grid, omega: float, tol: float, max_iter: int):
             )
         mixed = mixer.accept(image)
 
+    # the best pair is the successor of the last accepted iterate, whose
+    # residuals are reported
+    res1, res2 = history[-1] if history else (np.inf, np.inf)
     raise NoConvergenceError(
-        f"residuals ({res1:.3e}, {res2:.3e}) above tol {tol} after {max_iter} iterations",
+        f"residuals ({res1:.3e}, {res2:.3e}) of the last accepted iterate above "
+        f"tol {tol} after {max_iter} evaluations",
         best=(Field(grid, mixer.x[0]), Field(grid, mixer.x[1])),
     )
 
@@ -264,7 +279,19 @@ def solve_ground_state(
     exp(-sqrt(omega) L) should be well below the target residual scale."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    (q1, q2), iterations, history, discarded = _iterate(grid, omega, tol, max_iter)
+    pair, iterations, history, discarded = _iterate(grid, omega, tol, max_iter, _DEPTH)
+    if _tail_rises(history) and iterations < max_iter:
+        # On a grid that under-resolves the profile (omega dx^2 above about
+        # 1.3), the plain step after a discarded trial can move residual
+        # from one equation to the other so late that the rise is among the
+        # last 10 iterates.  The plain iteration converges there with a
+        # decreasing tail.
+        pair, iterations, plain_history, _ = _iterate(grid, omega, tol, max_iter, 0, iterations)
+        history += plain_history
+        _check_monotone_tail(plain_history, grid, *pair)
+    else:
+        _check_monotone_tail(history, grid, *pair)
+    q1, q2 = pair
     res1, res2 = history[-1]
     return GroundState(
         Q1=Field(grid, q1),
@@ -279,8 +306,7 @@ def solve_ground_state(
 
 
 def _check_monotone_tail(history, grid, q1, q2):
-    tail = history[-10:]
-    if any(_rose(a, b) for a, b in zip(tail, tail[1:])):
+    if _tail_rises(history):
         raise NoConvergenceError(
             "residuals not monotonically decreasing near convergence",
             best=(Field(grid, q1), Field(grid, q2)),

@@ -253,6 +253,15 @@ class TestRun:
         q1 = read_field(run_dir / "q1.nls2")
         assert q1.values.real.max() > 1.0
 
+    def test_groundstate_task_on_an_under_resolved_grid(self, tmp_path):
+        cfg = {
+            "grid": {"dim": 3, "n": 16, "half_width": 8.0},
+            "task": {"name": "groundstate", "omega": 1.5, "tol": 1e-9},
+        }
+        run_dir = cli.run(cfg, tmp_path)
+        meta = json.loads((run_dir / "groundstate.json").read_text())
+        assert max(meta["residual1"], meta["residual2"]) < 1e-9
+
     def test_eigen_task(self, tmp_path):
         cfg = {
             "grid": {"dim": 3, "n": 16, "half_width": 8.0},

@@ -112,6 +112,34 @@ def test_converges_at_the_ends_of_the_threshold_range(omega):
     assert gs.iterations <= 30
 
 
+@pytest.mark.parametrize("omega, tol", [(1.3, 1e-11), (1.5, 1e-9), (2.0, 1e-9)])
+def test_under_resolved_grid_converges_as_the_plain_loop(omega, tol):
+    """At 16^3, half-width 8 (dx = 1) the profile's width 1/sqrt(omega) is
+    below a grid step.  There the mixed iteration's residuals rise inside
+    the last 10 iterates, and the solve falls back to the plain loop, whose
+    count of evaluations it adds to its own."""
+    g = make_grid(3, 16, 8.0)
+    gs = solve_ground_state(g, omega, tol=tol)
+    q1, q2, plain_iterations = plain_ground_state(g, omega, tol=tol)
+    gap = np.sqrt((np.sum((gs.Q1.values.real - q1) ** 2)
+                   + np.sum((gs.Q2.values.real - q2) ** 2)) * g.dvol)
+    assert gap < 10 * tol
+    assert max(gs.residual1, gs.residual2) < tol
+    assert gs.iterations > plain_iterations
+    assert gs.iterations == len(gs.residual_history) + gs.discarded
+
+
+def test_no_convergence_reports_the_last_accepted_iterate():
+    """The fifth evaluation here is a discarded trial: the message gives
+    the residuals of an accepted iterate, not the trial's."""
+    g = make_grid(3, 24, 8.0)
+    with pytest.raises(NoConvergenceError, match="after 5 evaluations") as err:
+        solve_ground_state(g, 1.0, max_iter=5)
+    history = solve_ground_state(g, 1.0).residual_history
+    reported = err.value.args[0].split("(")[1].split(")")[0]
+    assert reported in {f"{a:.3e}, {b:.3e}" for a, b in history}
+
+
 def test_memory_of_the_mixed_solve():
     """The solve's numpy peak stays within the design's count of real
     fields: 20 for the depth-5 history (a pair of difference arrays per
