@@ -6,7 +6,9 @@ Conventions used everywhere in this package:
   dx = 2L/n; the point x = 0 is always on the lattice (n is even);
 * wavenumbers are k_j = (pi/L) * j with j in standard FFT ordering;
 * the FFT is unitary (``norm="ortho"``): sum |f|^2 = sum |fhat|^2, so the
-  discrete Parseval identity reads  lp_norm(f, 2)^2 = sum |fhat|^2 * dx^dim.
+  discrete Parseval identity reads  lp_norm(f, 2)^2 = sum |fhat|^2 * dx^dim;
+* a field even in every axis can live on the grid's even octant (Octant),
+  where the DCT-I on the same scale takes the FFT's place.
 
 All quadrature is the rectangle rule with weight dx^dim, which is spectrally
 accurate for smooth fields that decay inside the box.  The |x|^(1/2)-weighted
@@ -123,6 +125,63 @@ class Grid:
     def fh_half_weight(self) -> np.ndarray:
         """Quadrature weight of fh_half_norm: its square is sum q |f|^2."""
         return _fh_half_weight(self)
+
+    @cached_property
+    def octant(self) -> "Octant":
+        """The even octant of this grid (see Octant)."""
+        return Octant(self)
+
+
+class Octant:
+    """The even octant of a grid: the points 0, dx, ..., L along each axis.
+
+    A field even in every axis is fixed by its values there, n/2 + 1 per
+    axis (x = L is x = -L on the torus).  The DCT-I of the octant values is
+    the unitary FFT of the full-grid values on the wavenumbers 0, pi/L, ...,
+    (n/2) pi/L, up to the sign (-1)^(j_1 + ... + j_dim), so it diagonalizes
+    the Laplacian with the octant's k2, and it is its own inverse.  A sum over the full
+    grid of an even field, in x or in k, is the octant sum with the
+    multiplicity weights 1, 2, ..., 2, 1 per axis (see `sum`).
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        half = grid.n // 2
+        self.x = -grid.x[half::-1]
+        self.k = np.abs(grid.k[:half + 1])
+        multiplicity = np.full(half + 1, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        self.weight = reduce(np.multiply, _open_mesh(multiplicity, grid.dim))
+        self.r2 = sum(a ** 2 for a in _open_mesh(self.x, grid.dim))
+        self.k2 = sum(a ** 2 for a in _open_mesh(self.k, grid.dim))
+        # full-grid index of each octant point, and octant index of each
+        # full-grid point
+        self._restrict = np.ix_(*[(half + np.arange(half + 1)) % grid.n] * grid.dim)
+        self._mirror = np.ix_(*[np.abs(np.arange(grid.n) - half)] * grid.dim)
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The octant values of a full-grid array."""
+        return values[self._restrict]
+
+    def mirror(self, values: np.ndarray) -> np.ndarray:
+        """The full-grid array of the field even in every axis with these
+        octant values."""
+        return values[self._mirror]
+
+    def sum(self, values: np.ndarray) -> float:
+        """The full-grid sum of the even field with these octant values."""
+        return float(np.sum(self.weight * values))
+
+    def dct(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """DCT-I on the scale of the unitary FFT; the overwrite contract of
+        fftn.  It is its own inverse."""
+        return sfft.dctn(values, type=1, norm="ortho", orthogonalize=False,
+                         workers=_workers(values), overwrite_x=overwrite)
+
+    def idct(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Inverse of dct."""
+        return sfft.idctn(values, type=1, norm="ortho", orthogonalize=False,
+                          workers=_workers(values), overwrite_x=overwrite)
 
 
 def make_grid(dim: int, n: int, half_width: float) -> Grid:

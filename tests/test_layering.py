@@ -1,4 +1,5 @@
-"""No module of the package imports another module's private names."""
+"""No module of the package imports another module's private names, and
+only spectral.py imports scipy.fft."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,25 @@ def private_imports(path: Path) -> list:
 def test_no_private_name_crosses_a_module_boundary():
     offenders = {p.name: private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def scipy_fft_imports(path: Path) -> list:
+    """What the file imports of scipy.fft: "scipy.fft" for the module
+    (`import scipy.fft`, `from scipy import fft`), "scipy.fft.<name>" for a
+    name taken out of it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "scipy.fft"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found += ["scipy.fft" for a in node.names if a.name == "fft"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.fft":
+            found += [f"scipy.fft.{a.name}" for a in node.names]
+    return found
+
+
+def test_only_spectral_imports_scipy_fft_and_only_the_module():
+    """Every transform is then a `sfft.<name>` lookup at call time, so
+    patching an attribute of scipy.fft (as a tracer does) sees every call."""
+    found = {p.name: scipy_fft_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {"spectral.py": ["scipy.fft"]}

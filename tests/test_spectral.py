@@ -223,6 +223,42 @@ class TestNorms:
         assert boundary_mass_fraction(wide) > 1e-3
 
 
+def even_field(grid):
+    """A field even in every axis, bit for bit, without the symmetry of
+    exchanging axes, that does not decay inside the box.  Its coordinates
+    are integers times dx, which negate exactly."""
+    x, y, z = np.meshgrid(*[(np.arange(grid.n) - grid.n // 2) * grid.dx] * 3,
+                          indexing="ij", sparse=True)
+    return np.exp(-x ** 2 / 4.0 - y ** 2 / 6.0) * np.cos(0.3 * z) * (1.0 + x ** 2 * z ** 2)
+
+
+class TestOctant:
+    @pytest.mark.parametrize("n, half_width", [(24, 8.0), (64, 24.0)])
+    def test_dct_laplacian_is_the_fft_laplacian(self, n, half_width):
+        g = make_grid(3, n, half_width)
+        o = g.octant
+        f = even_field(g)
+        full = np.real(ifftn(-g.k2 * fftn(f)))
+        octant = o.mirror(o.idct(-o.k2 * o.dct(o.restrict(f))))
+        assert np.max(np.abs(octant - full)) <= 2e-14 * np.max(np.abs(full))
+
+    def test_restrict_then_mirror_is_the_identity_on_an_even_field(self):
+        g = make_grid(3, 24, 8.0)
+        f = even_field(g)
+        assert g.octant.restrict(f).shape == (13, 13, 13)
+        assert np.array_equal(g.octant.mirror(g.octant.restrict(f)), f)
+
+    def test_weighted_sums_are_full_grid_sums(self):
+        """In x and, with the DCT on the unitary FFT's scale, in k."""
+        g = make_grid(3, 24, 8.0)
+        o = g.octant
+        f = even_field(g)
+        r = o.restrict(f)
+        assert o.sum(r ** 2) == pytest.approx(np.sum(f ** 2), rel=1e-14)
+        assert o.sum(o.dct(r) ** 2) == pytest.approx(np.sum(np.abs(fftn(f)) ** 2), rel=1e-14)
+        assert np.allclose(o.idct(o.dct(r)), r, rtol=0.0, atol=1e-15 * np.max(np.abs(r)))
+
+
 class TestFieldIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
